@@ -48,11 +48,6 @@ use crate::suggestion::{JavaComponent, Suggestion};
 use std::collections::HashMap;
 use std::path::Path;
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Bumped whenever the entry layout or the meaning of a field changes;
 /// part of the header, so old files are ignored wholesale.
 pub const CACHE_FORMAT_VERSION: u32 = 2;
@@ -62,35 +57,21 @@ const MAGIC: &str = "jepo-analysis-cache v2";
 /// FNV-1a/64 over raw bytes — the deterministic, dependency-free hash
 /// every cache key derives from.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    jepo_trace::fnv1a(jepo_trace::FNV_OFFSET, bytes.iter().copied())
 }
 
 /// Content hash of a source file: FNV-1a/64 over the *normalized* text
 /// (CRLF and lone CR become LF), so a checkout-format change doesn't
 /// invalidate the world.
 pub fn content_hash(source: &str) -> u64 {
-    let mut h = FNV_OFFSET;
     let bytes = source.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = if bytes[i] == b'\r' {
-            if i + 1 < bytes.len() && bytes[i + 1] == b'\n' {
-                i += 1;
-            }
-            b'\n'
-        } else {
-            bytes[i]
-        };
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-        i += 1;
-    }
-    h
+    // A CR followed by LF is dropped (the LF stays); a lone CR becomes LF.
+    let normalized = bytes.iter().enumerate().filter_map(|(i, &b)| match b {
+        b'\r' if bytes.get(i + 1) == Some(&b'\n') => None,
+        b'\r' => Some(b'\n'),
+        _ => Some(b),
+    });
+    jepo_trace::fnv1a(jepo_trace::FNV_OFFSET, normalized)
 }
 
 /// One cached file: the hashes its rows were computed from, plus the rows.

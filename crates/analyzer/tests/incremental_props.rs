@@ -15,7 +15,8 @@
 //!    apply — the deterministic total order holds across the cache
 //!    boundary.
 //! 3. **Disk round-trip** — saving the warm cache and reloading it
-//!    preserves both the hit set and the output bytes.
+//!    preserves both the hit set and the output bytes, under the
+//!    flow-sensitive and the interprocedural analyzer.
 //! 4. **Corruption tolerance** — a mangled cache file only shrinks the
 //!    warm set; output is still identical to cold.
 
@@ -127,26 +128,33 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let cfg = cfg(files, seed, 0.6);
-        let analyzer = Analyzer::with_extensions();
         let project = generate_project_with(&cfg, |_| 0);
-        let cold = analyzer.analyze_project_jobs(&project, 1);
+        // The interprocedural cache also persists each file's dependency
+        // hash; a reload must keep those stable too (zero misses).
+        for (mode, analyzer) in [Analyzer::with_extensions(), Analyzer::interprocedural()]
+            .into_iter()
+            .enumerate()
+        {
+            let cold = analyzer.analyze_project_jobs(&project, 1);
 
-        let mut cache = analyzer.new_cache();
-        analyzer.analyze_project_incremental_jobs(&project, &mut cache, 1);
-        let path = std::env::temp_dir().join(format!(
-            "jepo-incr-prop-{}-{}-{}.jepocache",
-            std::process::id(),
-            files,
-            seed
-        ));
-        cache.save(&path).unwrap();
+            let mut cache = analyzer.new_cache();
+            analyzer.analyze_project_incremental_jobs(&project, &mut cache, 1);
+            let path = std::env::temp_dir().join(format!(
+                "jepo-incr-prop-{}-{}-{}-{}.jepocache",
+                std::process::id(),
+                files,
+                seed,
+                mode
+            ));
+            cache.save(&path).unwrap();
 
-        let mut reloaded = AnalysisCache::load(&path, analyzer.fingerprint());
-        std::fs::remove_file(&path).ok();
-        let warm = analyzer.analyze_project_incremental_jobs(&project, &mut reloaded, 2);
-        prop_assert_eq!(reloaded.stats().last_misses, 0, "disk cache fully warm");
-        prop_assert_eq!(render(&warm), render(&cold));
-        prop_assert_eq!(render_ranked(&warm), render_ranked(&cold));
+            let mut reloaded = AnalysisCache::load(&path, analyzer.fingerprint());
+            std::fs::remove_file(&path).ok();
+            let warm = analyzer.analyze_project_incremental_jobs(&project, &mut reloaded, 2);
+            prop_assert_eq!(reloaded.stats().last_misses, 0, "disk cache fully warm");
+            prop_assert_eq!(render(&warm), render(&cold));
+            prop_assert_eq!(render_ranked(&warm), render_ranked(&cold));
+        }
     }
 
     #[test]

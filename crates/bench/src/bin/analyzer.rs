@@ -1,256 +1,40 @@
-//! Analyzer microbench + corpus self-check — the numbers behind the
-//! flow-sensitive analysis layer.
+//! Analyzer microbench — the cost of each analysis mode over the
+//! bundled WEKA-flavoured corpus, which no end-to-end workload isolates.
 //!
-//! Six legs over the bundled WEKA-flavoured corpus:
+//! Six legs:
 //!
-//! * **syntactic ×1** — the PR-2 baseline: pattern rules only.
-//! * **syntactic ×N** — the same, fanned over `jepo-pool`.
-//! * **flow ×1** — CFG construction + reaching defs + liveness +
+//! * **syntactic ×1 / ×N** — pattern rules only, sequential and fanned
+//!   over `jepo-pool`.
+//! * **flow ×1 / ×N** — CFG construction + reaching defs + liveness +
 //!   dominators per method, then the definition-aware rules.
-//! * **flow ×N** — the flow pipeline over `jepo-pool`.
-//! * **interproc ×1** — flow plus whole-program call-graph summaries
-//!   and the cross-method rules.
-//! * **interproc ×N** — the interprocedural pipeline over `jepo-pool`
-//!   (facts built once, single-threaded, before the fan-out).
+//! * **interproc ×1 / ×N** — flow plus whole-program call-graph
+//!   summaries and the cross-method rules (facts built once,
+//!   single-threaded, before the fan-out).
 //!
 //! The interesting ratios are `flow_overhead_1t` (what the dataflow
 //! facts cost over pure pattern matching) and the per-mode parallel
-//! speedups. `N` is clamped to `available_parallelism` — timing more
-//! threads than cores only measures scheduler thrash, and the old
-//! unclamped default published sub-1× "speedups" that were really
-//! oversubscription noise. The requested value is still recorded
-//! (`requested_threads`, plus a `note` when clamping kicked in) so the
-//! JSON says what happened. After every leg the harness asserts the
-//! suggestion count is identical across thread counts for that mode —
-//! the speedup never trades away determinism (the acceptance criterion
-//! is bit-identical output for jobs ∈ {1, 2, 4}; counts are the cheap
-//! proxy asserted on every run, and the full equality is pinned in
-//! `tests/flow_analysis.rs`).
+//! speedups. `N` is clamped to the available cores
+//! ([`jepo_pool::clamp_workers`]): timing more threads than cores only
+//! measures scheduler thrash. The requested value is still recorded
+//! (`requested_threads`, plus a `note` when clamping kicked in). After
+//! the legs the harness asserts the suggestion count is identical
+//! across thread counts for each mode; the full bit-identity is pinned
+//! in `tests/flow_analysis.rs`.
 //!
-//! Three more legs measure the incremental layer over a *generated*
-//! corpus (`jepo_analyzer::gen`, default 1000 files — the bundled
-//! corpus is too small to show cache effects):
-//!
-//! * **cold** — fresh [`jepo_analyzer::AnalysisCache`] every rep: full
-//!   hash + analyze of every file.
-//! * **warm** — a pre-warmed cache and an unchanged corpus: hash +
-//!   lookup only, zero re-analysis.
-//! * **warm_1pct_dirty** — alternating two corpus revisions that differ
-//!   in ~1% of files, so every rep re-analyzes exactly that dirty set.
-//! * **interproc_cold / interproc_warm** — the same cold/warm pair
-//!   under the interprocedural analyzer, whose cache entries carry
-//!   call-graph dependency hashes; warm must still be bit-identical
-//!   with zero re-analysis.
-//!
-//! Every incremental leg asserts its output equals the plain
-//! (non-cached) analysis of the same revision — warm is bit-identical
-//! to cold, never just "close".
+//! The incremental cache is timed end to end by the `edit-analyze`
+//! workload of `perfbench`; its correctness lives in
+//! `crates/analyzer/tests/incremental_props.rs`.
 //!
 //! Results land in `BENCH_analyzer.json`.
 //!
-//! A second role: `--selfcheck` runs the flow-sensitive extended
-//! analyzer over the corpus and compares per-component suggestion
-//! counts against the checked-in `expected_analyzer_counts.json`, then
-//! gates the incremental layer on the generated corpus: warm output
-//! must be bit-identical to cold and the warm leg must be ≥10× faster.
-//! Any panic, count drift, byte drift, or speedup shortfall fails the
-//! process — CI runs this on every push. Regenerate the expectation
-//! file with `--update-expected` after an intentional rule change.
-//!
-//! Usage: `analyzer [reps] [--threads N] [--gen-files N] [--selfcheck]
-//! [--update-expected]` (reps defaults to 40; threads defaults to the
-//! core count; gen-files defaults to 1000).
+//! Usage: `analyzer [reps] [--threads N]` (reps defaults to 40; threads
+//! defaults to the core count).
 
-use jepo_analyzer::gen::{generate_project, generate_project_with, GenConfig};
-use jepo_analyzer::{AnalysisMode, Analyzer, JavaComponent, Suggestion};
+use jepo_analyzer::{AnalysisMode, Analyzer};
 use jepo_core::corpus;
 use jepo_jlang::JavaProject;
-use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Every component the interprocedural analyzer can emit, in a stable
-/// order.
-fn all_components() -> Vec<JavaComponent> {
-    let mut v: Vec<JavaComponent> = JavaComponent::ALL.to_vec();
-    v.extend(JavaComponent::EXTENDED);
-    v.extend(JavaComponent::INTERPROC);
-    v
-}
-
-/// Per-component counts as stable `(name, count)` rows.
-fn component_counts(suggestions: &[Suggestion]) -> Vec<(String, usize)> {
-    all_components()
-        .into_iter()
-        .map(|c| {
-            let n = suggestions.iter().filter(|s| s.component == c).count();
-            (format!("{c:?}"), n)
-        })
-        .collect()
-}
-
-fn counts_json(counts: &[(String, usize)], total: usize) -> String {
-    let rows: Vec<String> = counts
-        .iter()
-        .map(|(name, n)| format!("    \"{name}\": {n}"))
-        .collect();
-    format!(
-        "{{\n  \"mode\": \"interproc+extended\",\n  \"total\": {total},\n  \
-         \"components\": {{\n{}\n  }}\n}}\n",
-        rows.join(",\n")
-    )
-}
-
-/// Minimal reader for the expectation file: every `"Name": N` pair.
-/// Tolerates whitespace and trailing commas; ignores non-count lines.
-fn parse_counts(json: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if key == "mode" || key == "components" {
-            continue;
-        }
-        if let Ok(n) = value.trim().parse::<usize>() {
-            out.push((key.to_string(), n));
-        }
-    }
-    out
-}
-
-const EXPECTED_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/expected_analyzer_counts.json");
-
-/// Compare corpus counts against the checked-in expectation; any drift
-/// is a hard failure with a per-component diff.
-fn selfcheck(project: &JavaProject) -> Result<(), String> {
-    let suggestions = Analyzer::interprocedural().analyze_project(project);
-    let got = component_counts(&suggestions);
-    let expected_src = std::fs::read_to_string(EXPECTED_PATH)
-        .map_err(|e| format!("cannot read {EXPECTED_PATH}: {e} (run --update-expected)"))?;
-    let expected = parse_counts(&expected_src);
-    let mut drift = Vec::new();
-    let lookup =
-        |rows: &[(String, usize)], key: &str| rows.iter().find(|(k, _)| k == key).map(|(_, n)| *n);
-    if let Some(t) = lookup(&expected, "total") {
-        if t != suggestions.len() {
-            drift.push(format!("total: expected {t}, got {}", suggestions.len()));
-        }
-    }
-    for (name, n) in &got {
-        match lookup(&expected, name) {
-            Some(e) if e == *n => {}
-            Some(e) => drift.push(format!("{name}: expected {e}, got {n}")),
-            None => drift.push(format!("{name}: not in expectation file, got {n}")),
-        }
-    }
-    if drift.is_empty() {
-        println!(
-            "selfcheck OK: {} suggestions across {} components match {}",
-            suggestions.len(),
-            got.iter().filter(|(_, n)| *n > 0).count(),
-            EXPECTED_PATH
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "suggestion counts drifted from {EXPECTED_PATH}:\n  {}\n\
-             (if intentional, regenerate with --update-expected)",
-            drift.join("\n  ")
-        ))
-    }
-}
-
-/// Gate the incremental layer: over a generated corpus, warm output
-/// must be byte-identical to cold (every field, impact to the last
-/// bit) and the warm leg must be ≥10× faster than cold. Timings take
-/// the best of three runs per leg so a noisy CI box cannot fail a
-/// genuinely fast cache.
-fn incremental_selfcheck(gen_files: usize, threads: usize) -> Result<(), String> {
-    let cfg = GenConfig {
-        files: gen_files,
-        ..GenConfig::default()
-    };
-    let project = generate_project(&cfg);
-    let analyzer = Analyzer::with_extensions();
-    let cold_ref = analyzer.analyze_project_jobs(&project, threads);
-
-    fn best_of<F: FnMut() -> Vec<Suggestion>>(runs: usize, mut f: F) -> (f64, Vec<Suggestion>) {
-        let mut best = f64::INFINITY;
-        let mut out = Vec::new();
-        for _ in 0..runs {
-            let t = Instant::now();
-            out = black_box(f());
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        (best, out)
-    }
-
-    let (cold_secs, cold_out) = best_of(3, || {
-        let mut cache = analyzer.new_cache();
-        analyzer.analyze_project_incremental_jobs(&project, &mut cache, threads)
-    });
-    if cold_out != cold_ref {
-        return Err("incremental cold output differs from plain analysis".into());
-    }
-
-    let mut cache = analyzer.new_cache();
-    analyzer.analyze_project_incremental_jobs(&project, &mut cache, threads);
-    let (warm_secs, warm_out) = best_of(3, || {
-        analyzer.analyze_project_incremental_jobs(&project, &mut cache, threads)
-    });
-    if warm_out != cold_ref {
-        return Err("warm output is not bit-identical to cold".into());
-    }
-
-    let speedup = cold_secs / warm_secs.max(1e-12);
-    if speedup < 10.0 {
-        return Err(format!(
-            "warm leg only {speedup:.1}× faster than cold over {gen_files} generated \
-             files (gate: ≥10×; cold {:.2} ms, warm {:.2} ms)",
-            cold_secs * 1e3,
-            warm_secs * 1e3
-        ));
-    }
-    println!(
-        "incremental selfcheck OK: {gen_files} generated files, {} suggestions, \
-         warm ≡ cold, warm {speedup:.1}× faster (cold {:.2} ms, warm {:.2} ms)",
-        cold_ref.len(),
-        cold_secs * 1e3,
-        warm_secs * 1e3
-    );
-
-    // Same gate under the interprocedural analyzer: its cache entries
-    // additionally carry call-graph dependency hashes, and a warm run
-    // must still be bit-identical to cold with zero re-analysis. (No
-    // timing gate here — dep-hash recomputation makes warm slower than
-    // the flow cache by design, and the flow gate above already proves
-    // the cache machinery is fast.)
-    let ia = Analyzer::interprocedural();
-    let i_ref = ia.analyze_project_jobs(&project, threads);
-    let mut icache = ia.new_cache();
-    let i_cold = ia.analyze_project_incremental_jobs(&project, &mut icache, threads);
-    if i_cold != i_ref {
-        return Err("interproc cold output differs from plain analysis".into());
-    }
-    let i_warm = ia.analyze_project_incremental_jobs(&project, &mut icache, threads);
-    if i_warm != i_ref {
-        return Err("interproc warm output is not bit-identical to cold".into());
-    }
-    if icache.stats().last_misses != 0 {
-        return Err(format!(
-            "interproc warm run re-analyzed {} file(s); dependency hashes are unstable",
-            icache.stats().last_misses
-        ));
-    }
-    println!(
-        "interproc incremental selfcheck OK: {} suggestions, warm ≡ cold, 0 misses",
-        i_ref.len()
-    );
-    Ok(())
-}
 
 struct Leg {
     mode: &'static str,
@@ -305,230 +89,28 @@ fn leg_json(leg: &Leg) -> String {
     )
 }
 
-/// One incremental leg: `(name, secs_per_run, suggestions)`.
-struct IncrLeg {
-    name: &'static str,
-    secs_per_run: f64,
-    suggestions: usize,
-}
-
-/// Results of the incremental legs over the generated corpus.
-struct IncrBench {
-    generated_files: usize,
-    dirty_files: usize,
-    reps: u32,
-    legs: Vec<IncrLeg>,
-    warm_speedup: f64,
-}
-
-/// Run the cold / warm / warm_1pct_dirty legs over a generated corpus.
-///
-/// Every leg's output is asserted equal to the plain (cache-free)
-/// analysis of the same revision — the timings are only meaningful if
-/// the cache never changes the answer.
-fn run_incremental_legs(gen_files: usize, threads: usize, reps: u32) -> IncrBench {
-    let cfg = GenConfig {
-        files: gen_files,
-        ..GenConfig::default()
-    };
-    // ~1% of files (at least one) flips between revisions.
-    let dirty: HashSet<usize> = (0..gen_files).step_by(100).collect();
-    let rev0 = generate_project(&cfg);
-    let rev1 = generate_project_with(&cfg, |i| u64::from(dirty.contains(&i)));
-    let analyzer = Analyzer::with_extensions();
-    let cold_ref = analyzer.analyze_project_jobs(&rev0, threads);
-    let cold_ref1 = analyzer.analyze_project_jobs(&rev1, threads);
-
-    let mut legs = Vec::new();
-
-    // cold: a fresh cache every rep — full hash + analyze.
-    let t = Instant::now();
-    let mut out = Vec::new();
-    for _ in 0..reps {
-        let mut cache = analyzer.new_cache();
-        out = black_box(analyzer.analyze_project_incremental_jobs(&rev0, &mut cache, threads));
-    }
-    let cold_secs = t.elapsed().as_secs_f64() / reps as f64;
-    assert_eq!(out, cold_ref, "cold incremental ≠ plain analysis");
-    legs.push(IncrLeg {
-        name: "cold",
-        secs_per_run: cold_secs,
-        suggestions: out.len(),
-    });
-
-    // warm: pre-warmed cache, unchanged corpus — hash + lookup only.
-    let mut cache = analyzer.new_cache();
-    analyzer.analyze_project_incremental_jobs(&rev0, &mut cache, threads);
-    let t = Instant::now();
-    for _ in 0..reps {
-        out = black_box(analyzer.analyze_project_incremental_jobs(&rev0, &mut cache, threads));
-    }
-    let warm_secs = t.elapsed().as_secs_f64() / reps as f64;
-    assert_eq!(out, cold_ref, "warm output not bit-identical to cold");
-    assert_eq!(cache.stats().last_misses, 0, "warm leg must not re-analyze");
-    legs.push(IncrLeg {
-        name: "warm",
-        secs_per_run: warm_secs,
-        suggestions: out.len(),
-    });
-
-    // warm_1pct_dirty: alternate the two revisions, so each rep sees
-    // exactly the dirty set changed relative to the cached state.
-    let t = Instant::now();
-    for rep in 0..reps {
-        let project = if rep % 2 == 0 { &rev1 } else { &rev0 };
-        out = black_box(analyzer.analyze_project_incremental_jobs(project, &mut cache, threads));
-        assert_eq!(
-            cache.stats().last_misses,
-            dirty.len() as u64,
-            "each rep re-analyzes exactly the ~1% dirty set"
-        );
-        assert_eq!(
-            &out,
-            if rep % 2 == 0 { &cold_ref1 } else { &cold_ref },
-            "dirty-leg output not bit-identical to plain analysis"
-        );
-    }
-    let dirty_secs = t.elapsed().as_secs_f64() / reps as f64;
-    legs.push(IncrLeg {
-        name: "warm_1pct_dirty",
-        secs_per_run: dirty_secs,
-        suggestions: out.len(),
-    });
-
-    // interproc_cold / interproc_warm: the dependency-aware cache. Warm
-    // pays a whole-program summary rebuild per run (that is what makes
-    // callee-edit invalidation possible) but must still be bit-identical
-    // with zero re-analysis.
-    let ia = Analyzer::interprocedural();
-    let i_ref = ia.analyze_project_jobs(&rev0, threads);
-    let t = Instant::now();
-    for _ in 0..reps {
-        let mut cache = ia.new_cache();
-        out = black_box(ia.analyze_project_incremental_jobs(&rev0, &mut cache, threads));
-    }
-    let i_cold_secs = t.elapsed().as_secs_f64() / reps as f64;
-    assert_eq!(out, i_ref, "interproc cold incremental ≠ plain analysis");
-    legs.push(IncrLeg {
-        name: "interproc_cold",
-        secs_per_run: i_cold_secs,
-        suggestions: out.len(),
-    });
-
-    let mut icache = ia.new_cache();
-    ia.analyze_project_incremental_jobs(&rev0, &mut icache, threads);
-    let t = Instant::now();
-    for _ in 0..reps {
-        out = black_box(ia.analyze_project_incremental_jobs(&rev0, &mut icache, threads));
-    }
-    let i_warm_secs = t.elapsed().as_secs_f64() / reps as f64;
-    assert_eq!(
-        out, i_ref,
-        "interproc warm output not bit-identical to cold"
-    );
-    assert_eq!(
-        icache.stats().last_misses,
-        0,
-        "interproc warm leg must not re-analyze (dep hashes unstable?)"
-    );
-    legs.push(IncrLeg {
-        name: "interproc_warm",
-        secs_per_run: i_warm_secs,
-        suggestions: out.len(),
-    });
-
-    IncrBench {
-        generated_files: gen_files,
-        dirty_files: dirty.len(),
-        reps,
-        legs,
-        warm_speedup: cold_secs / warm_secs.max(1e-12),
-    }
-}
-
-fn incr_json(b: &IncrBench) -> String {
-    let rows: Vec<String> = b
-        .legs
-        .iter()
-        .map(|l| {
-            format!(
-                "      {{\"leg\": \"{}\", \"runs_per_s\": {:.2}, \
-                 \"ms_per_run\": {:.3}, \"suggestions\": {}}}",
-                l.name,
-                1.0 / l.secs_per_run.max(1e-12),
-                l.secs_per_run * 1e3,
-                l.suggestions
-            )
-        })
-        .collect();
-    format!(
-        "  \"incremental\": {{\n    \"generated_files\": {},\n    \
-         \"dirty_files\": {},\n    \"reps\": {},\n    \
-         \"warm_speedup\": {:.2},\n    \"legs\": [\n{}\n    ]\n  }}",
-        b.generated_files,
-        b.dirty_files,
-        b.reps,
-        b.warm_speedup,
-        rows.join(",\n")
-    )
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let project = corpus::full_corpus();
 
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse::<usize>().ok())
-    };
-    let gen_files = flag_value("--gen-files").unwrap_or(1000).max(1);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    if args.iter().any(|a| a == "--update-expected") {
-        let suggestions = Analyzer::interprocedural().analyze_project(&project);
-        let counts = component_counts(&suggestions);
-        let json = counts_json(&counts, suggestions.len());
-        std::fs::write(EXPECTED_PATH, &json)
-            .unwrap_or_else(|e| panic!("cannot write {EXPECTED_PATH}: {e}"));
-        println!("Wrote {EXPECTED_PATH} ({} suggestions).", suggestions.len());
-        return;
-    }
-    if args.iter().any(|a| a == "--selfcheck") {
-        if let Err(msg) = selfcheck(&project).and_then(|()| incremental_selfcheck(gen_files, cores))
-        {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
+    let threads_at = args.iter().position(|a| a == "--threads");
+    let threads_flag = threads_at
+        .and_then(|i| args.get(i + 1))
+        .and_then(|s| s.parse::<usize>().ok());
     let reps: u32 = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .find_map(|s| s.parse().ok())
+        .enumerate()
+        .filter(|&(i, _)| threads_at.is_none_or(|t| i != t + 1))
+        .find_map(|(_, s)| s.parse().ok())
         .unwrap_or(40);
-    // Clamp to physical parallelism: timing more threads than cores
-    // measures oversubscription, not speedup. Keep what was asked for
-    // so the JSON can say when and why the clamp engaged.
-    let requested_threads = flag_value("--threads")
-        .unwrap_or_else(|| cores.max(2))
-        .max(1);
-    let threads = requested_threads.min(cores).max(1);
+    let (requested_threads, threads, cores) = jepo_pool::clamp_workers(threads_flag.unwrap_or(0));
     let clamp_note = (threads != requested_threads)
         .then(|| format!("threads clamped from {requested_threads} to {cores} available core(s)"));
 
     eprintln!(
         "analyzer microbench: {} corpus files, {reps} reps per leg, \
-         1 vs {threads} job(s), {cores} core(s){}…",
+         1 vs {threads} job(s), {cores} core(s)…",
         project.files().len(),
-        clamp_note
-            .as_deref()
-            .map(|n| format!(" [{n}]"))
-            .unwrap_or_default()
     );
 
     let mut legs = Vec::new();
@@ -584,29 +166,6 @@ fn main() {
          interproc {interproc_speedup:.2}×"
     );
 
-    // Incremental legs run fewer reps — one cold rep is a full
-    // analysis of the generated corpus, orders of magnitude more work
-    // than a corpus microbench rep.
-    let incr_reps = (reps / 8).max(2);
-    eprintln!(
-        "incremental legs: {gen_files} generated files, {incr_reps} reps per leg, \
-         {threads} job(s)…"
-    );
-    let incr = run_incremental_legs(gen_files, threads, incr_reps);
-    for leg in &incr.legs {
-        println!(
-            "{:>16}: {:>8.2} runs/s ({:.3} ms/run, {} suggestions)",
-            leg.name,
-            1.0 / leg.secs_per_run.max(1e-12),
-            leg.secs_per_run * 1e3,
-            leg.suggestions
-        );
-    }
-    println!(
-        "incremental warm speedup over cold: {:.1}× ({} files, {} dirty per rep)",
-        incr.warm_speedup, incr.generated_files, incr.dirty_files
-    );
-
     let rows: Vec<String> = legs.iter().map(leg_json).collect();
     let note_field = clamp_note
         .as_deref()
@@ -621,10 +180,9 @@ fn main() {
          \"interproc_overhead_1t\": {interproc_overhead_1t:.2},\n  \
          \"syntactic_speedup\": {syntactic_speedup:.2},\n  \
          \"flow_speedup\": {flow_speedup:.2},\n  \
-         \"interproc_speedup\": {interproc_speedup:.2},\n  \"legs\": [\n{}\n  ],\n{}\n}}\n",
+         \"interproc_speedup\": {interproc_speedup:.2},\n  \"legs\": [\n{}\n  ]\n}}\n",
         project.files().len(),
         rows.join(",\n"),
-        incr_json(&incr)
     );
     let path = "BENCH_analyzer.json";
     match std::fs::write(path, &json) {

@@ -1,14 +1,18 @@
 //! Ablation: which JEPO suggestion buys which share of Table IV's
 //! improvement? For each efficiency-profile dimension, run the optimized
 //! profile with that one dimension reverted to baseline and report the
-//! improvement lost.
+//! improvement lost. A last row prices both profiles under a uniform
+//! cost model (every operation costs the same): the improvement that
+//! remains is what operation counts alone would buy.
 //!
 //! Usage: `dimensions [classifier] [instances]` (defaults "Random
 //! Forest", 1000).
 
 use jepo_core::WekaExperiment;
-use jepo_ml::EfficiencyProfile;
-use jepo_rapl::Measurement;
+use jepo_ml::classifiers::by_name;
+use jepo_ml::eval::crossval::stratified_cross_validate;
+use jepo_ml::{EfficiencyProfile, Kernel};
+use jepo_rapl::{CostModel, Measurement};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -35,4 +39,18 @@ fn main() {
         let pct = Measurement::improvement_pct(base.package_j, partial.package_j);
         println!("{dim:<18} {pct:>23.2}%");
     }
+    let uniform = CostModel::uniform(2.0);
+    let joules_under = |profile: EfficiencyProfile| {
+        let kernel = Kernel::new(profile);
+        stratified_cross_validate(&data, exp.folds, exp.seed, || {
+            by_name(&classifier, kernel.clone(), exp.seed).expect("known classifier")
+        });
+        uniform.joules_for(&kernel.take_snapshot())
+    };
+    let pct = Measurement::improvement_pct(
+        joules_under(EfficiencyProfile::baseline()),
+        joules_under(EfficiencyProfile::optimized()),
+    );
+    println!("{}", "-".repeat(44));
+    println!("{:<18} {pct:>23.2}%", "uniform cost model");
 }

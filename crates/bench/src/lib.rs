@@ -1,9 +1,9 @@
 //! # jepo-bench — benchmark harnesses
 //!
-//! One binary per paper table (`table1`–`table4`), one for the figures
-//! (`figures`), an ablation sweep (`ablation` bench + `dimensions` bin),
-//! and Criterion micro-benchmarks for the hot paths (classifier
-//! training, VM interpretation, analyzer throughput, RAPL sampling).
+//! One binary per paper table (`table1`–`table3`), one for the figures
+//! (`figures`), the instance-scaling sweep (`scaling`), the ablation
+//! (`dimensions`), and microbenches of layers no end-to-end workload
+//! isolates (`interp`, `kernel`, `telemetry`, `analyzer`).
 //!
 //! Reproduction targets:
 //!
@@ -12,12 +12,11 @@
 //! | Table I   | `cargo run -p jepo-bench --bin table1 --release` |
 //! | Table II  | `cargo run -p jepo-bench --bin table2 --release` |
 //! | Table III | `cargo run -p jepo-bench --bin table3 --release` |
-//! | Table IV  | `cargo run -p jepo-bench --bin table4 --release` |
+//! | Table IV  | `cargo run -p jepo-cli --release -- table4` |
 //! | Figs 1–5  | `cargo run -p jepo-bench --bin figures --release` |
 //!
-//! Perf microbenches (not paper artifacts): `--bin kernel` measures the
-//! op-accounting hot path (thread-local scoreboards vs the old per-op
-//! atomic design) and writes `BENCH_kernel.json`.
+//! End-to-end speed (the `jepo serve` daemon and Table IV) is measured by
+//! `perfbench` against the bounds in `BENCHMARK.json`.
 
 /// Shared helper: print a section banner.
 pub fn banner(title: &str) {

@@ -25,7 +25,6 @@ use std::sync::Arc;
 /// bytecode: `Instrumented`/`Both` run the probe-injected program,
 /// `Sampling` (and the `Both` sampling leg) the plain one.
 pub struct PreparedProgram {
-    dispatch: Dispatch,
     plain: Program,
     plain_decoded: Option<Arc<DecodedProgram>>,
     plain_ir: Option<Arc<jepo_jvm::ir::IrProgram>>,
@@ -195,7 +194,6 @@ impl JepoProfiler {
             .with_dispatch(self.dispatch)
             .shared_forms();
         Ok(PreparedProgram {
-            dispatch: self.dispatch,
             plain,
             plain_decoded,
             plain_ir,
@@ -207,9 +205,9 @@ impl JepoProfiler {
     }
 
     /// Compile the project into a fresh VM, optionally instrumented
-    /// (probe count) and optionally sampling. With `prepared` (built
-    /// for the same dispatch), compilation, probe injection, decode
-    /// and IR lowering are all skipped in favor of the shared forms.
+    /// (probe count) and optionally sampling. With `prepared`,
+    /// compilation and probe injection are skipped, and so are decode
+    /// and IR lowering wherever the shared forms already hold them.
     fn build_vm(
         &self,
         project: &JavaProject,
@@ -218,8 +216,7 @@ impl JepoProfiler {
         prepared: Option<&PreparedProgram>,
     ) -> Result<(Vm, usize), VmError> {
         let _s = jepo_trace::span("profile/compile");
-        let reusable = prepared.filter(|p| p.dispatch == self.dispatch);
-        let (mut vm, probes) = match reusable {
+        let (mut vm, probes) = match prepared {
             Some(p) => {
                 let (program, decoded, ir, probes) = if instrument {
                     (
@@ -251,7 +248,7 @@ impl JepoProfiler {
         if let Some(cfg) = sampling {
             vm = vm.with_sampling(cfg);
         }
-        let probes = if instrument && reusable.is_none() {
+        let probes = if instrument && prepared.is_none() {
             vm.instrument()
         } else {
             probes
@@ -299,8 +296,9 @@ impl JepoProfiler {
 
     /// Profile a project end to end, reusing shared compiled forms when
     /// available. `prepared` must come from [`JepoProfiler::prepare`] on
-    /// the same project bytes; a dispatch mismatch silently falls back
-    /// to the cold path. The report is bit-identical either way.
+    /// the same project bytes; it may have been prepared under another
+    /// dispatch, since the VM runs this profiler's engine whatever forms
+    /// it is handed. The report is bit-identical either way.
     pub fn profile_prepared(
         &self,
         project: &JavaProject,

@@ -109,28 +109,6 @@ pub fn table4(results: &[ClassifierResult]) -> String {
     out
 }
 
-/// Render Table IV as Markdown (for EXPERIMENTS.md).
-pub fn table4_markdown(results: &[ClassifierResult]) -> String {
-    let mut out = String::from(
-        "| Classifier | Changes | Package (%) | CPU (%) | Time (%) | Accuracy Drop (pp) |\n\
-         |---|---|---|---|---|---|\n",
-    );
-    for r in results {
-        out.push_str(&format!(
-            "| {}{} | {} | {:.2} | {:.2} | {:.2} | {:.2} |\n",
-            r.name,
-            convergence_mark(r),
-            r.changes,
-            r.package_improvement_pct,
-            r.cpu_improvement_pct,
-            r.time_improvement_pct,
-            r.accuracy_drop_pct
-        ));
-    }
-    out.push_str(&convergence_footnote(results));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn table4_text_and_markdown() {
+    fn table4_text() {
         let rs = vec![
             fake_result("J48", 4.44),
             fake_result("Random Forest", 14.46),
@@ -183,9 +161,6 @@ mod tests {
         let t = table4(&rs);
         assert!(t.contains("14.46"));
         assert!(t.contains("Package Improvement"));
-        let md = table4_markdown(&rs);
-        assert!(md.starts_with("| Classifier"));
-        assert_eq!(md.lines().count(), 2 + 2);
     }
 
     #[test]
@@ -196,8 +171,5 @@ mod tests {
         let t = table4(&rs);
         assert!(t.contains("SMO †"));
         assert!(t.contains("round cap"));
-        let md = table4_markdown(&rs);
-        assert!(md.contains("| SMO † |"));
-        assert!(md.lines().count() > 2 + 2, "footnote line present");
     }
 }

@@ -8,7 +8,7 @@
 
 use jepo_core::corpus;
 use jepo_core::report;
-use jepo_core::{JepoProfiler, ProfileReport, WekaExperiment};
+use jepo_core::{ClassifierResult, JepoProfiler, ProfileReport, WekaExperiment};
 use jepo_jvm::Dispatch;
 
 fn profile_with(dispatch: Dispatch) -> ProfileReport {
@@ -95,9 +95,33 @@ fn masked_trace_is_identical_across_engines() {
     assert_eq!(masked[0], masked[2], "masked trace diverged (ir)");
 }
 
-/// Small Table IV experiment: report text must be byte-identical for
-/// `jobs ∈ {1, 2, 4}` (the kernels share the same striped-counter
-/// exactness contract the interpreter's scoreboards flush through).
+/// Every field of a Table IV row, f64s as their exact bits: the
+/// determinism contract is identical output, not merely close.
+fn row_bits(r: &ClassifierResult) -> (String, usize, bool, Vec<u64>) {
+    let m = |m: &jepo_rapl::Measurement| [m.package_j, m.core_j, m.uncore_j, m.dram_j, m.seconds];
+    let floats = [
+        r.package_improvement_pct,
+        r.cpu_improvement_pct,
+        r.time_improvement_pct,
+        r.accuracy_baseline,
+        r.accuracy_optimized,
+        r.accuracy_drop_pct,
+    ]
+    .into_iter()
+    .chain(m(&r.baseline))
+    .chain(m(&r.optimized));
+    (
+        r.name.clone(),
+        r.changes,
+        r.converged,
+        floats.map(f64::to_bits).collect(),
+    )
+}
+
+/// Small Table IV experiment: every result field, compared by bits, and
+/// the report text must be identical for `jobs ∈ {1, 2, 4}` (the kernels
+/// share the same striped-counter exactness contract the interpreter's
+/// scoreboards flush through).
 #[test]
 fn small_table4_report_is_jobs_invariant() {
     let exp = WekaExperiment {
@@ -105,10 +129,17 @@ fn small_table4_report_is_jobs_invariant() {
         folds: 3,
         ..Default::default()
     };
-    let texts: Vec<String> = [1usize, 2, 4]
+    let runs: Vec<Vec<ClassifierResult>> = [1usize, 2, 4]
         .iter()
-        .map(|&jobs| report::table4(&exp.run_all_jobs(jobs)))
+        .map(|&jobs| exp.run_all_jobs(jobs))
         .collect();
+    let bits: Vec<Vec<_>> = runs
+        .iter()
+        .map(|rs| rs.iter().map(row_bits).collect())
+        .collect();
+    assert_eq!(bits[0], bits[1], "jobs=1 vs jobs=2");
+    assert_eq!(bits[0], bits[2], "jobs=1 vs jobs=4");
+    let texts: Vec<String> = runs.iter().map(|rs| report::table4(rs)).collect();
     assert_eq!(texts[0], texts[1], "jobs=1 vs jobs=2");
     assert_eq!(texts[0], texts[2], "jobs=1 vs jobs=4");
     assert!(texts[0].contains("Naive Bayes"), "report has rows");

@@ -8,7 +8,7 @@ use crate::instrument;
 use crate::interp::{Interp, ProfileEvent, RunOutcome};
 use crate::sampling::{self, SampleSet, SampledMethodRecord, SamplingConfig};
 use crate::value::Value;
-use crate::VmError;
+use crate::{MethodId, VmError};
 use jepo_rapl::{DeviceProfile, SimulatedRapl};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -135,7 +135,8 @@ impl Vm {
         (self.decoded.clone(), self.ir.clone())
     }
 
-    /// Select the execution engine (default: [`Dispatch::Decoded`]).
+    /// Select the execution engine (default: [`Dispatch::Ir`]). Runs use
+    /// exactly this engine, whichever shared forms the VM was handed.
     pub fn with_dispatch(mut self, dispatch: Dispatch) -> Vm {
         self.dispatch = dispatch;
         self
@@ -229,30 +230,8 @@ impl Vm {
             .program
             .main
             .ok_or_else(|| VmError::NoMain("no `public static void main` found".into()))?;
-        self.ensure_decoded();
-        let _probe = self.bind_trace_probe();
-        let _run = jepo_trace::span("vm/run");
-        let mut interp = Interp::new(&self.program, self.settings.clone(), self.sim.clone());
-        if let Some(dp) = self.decoded.as_deref() {
-            interp.set_decoded(dp);
-        }
-        if let Some(irp) = self.ir.as_deref() {
-            interp.set_ir(irp);
-        }
-        interp.set_fuel(self.fuel);
-        if let Some(cfg) = self.sampling {
-            interp.set_sampling(cfg);
-        }
-        {
-            let _s = jepo_trace::span("vm/clinit");
-            interp.run_clinits()?;
-        }
         // main(String[] args): pass a null array (argv unused in corpus).
-        let ret = {
-            let _s = jepo_trace::span("vm/main");
-            interp.run_method(main, vec![Value::Null])?
-        };
-        Ok(interp.finish(ret))
+        self.run_entry(main, vec![Value::Null])
     }
 
     /// Run a specific static method of a class with the given arguments.
@@ -270,14 +249,26 @@ impl Vm {
             .program
             .resolve_method(cid, method, args.len() as u8)
             .ok_or_else(|| VmError::NoMain(format!("no method `{class}.{method}`")))?;
+        self.run_entry(mid, args)
+    }
+
+    /// Run the class initializers, then `entry`, on the engine the
+    /// dispatch names: the decoded form only off Legacy, the IR form
+    /// only under [`Dispatch::Ir`].
+    fn run_entry(&mut self, entry: MethodId, args: Vec<Value>) -> Result<RunOutcome, VmError> {
         self.ensure_decoded();
         let _probe = self.bind_trace_probe();
         let _run = jepo_trace::span("vm/run");
         let mut interp = Interp::new(&self.program, self.settings.clone(), self.sim.clone());
-        if let Some(dp) = self.decoded.as_deref() {
+        let (decoded, ir) = match self.dispatch {
+            Dispatch::Legacy => (None, None),
+            Dispatch::Decoded => (self.decoded.as_deref(), None),
+            Dispatch::Ir => (self.decoded.as_deref(), self.ir.as_deref()),
+        };
+        if let Some(dp) = decoded {
             interp.set_decoded(dp);
         }
-        if let Some(irp) = self.ir.as_deref() {
+        if let Some(irp) = ir {
             interp.set_ir(irp);
         }
         interp.set_fuel(self.fuel);
@@ -290,7 +281,7 @@ impl Vm {
         }
         let ret = {
             let _s = jepo_trace::span("vm/main");
-            interp.run_method(mid, args)?
+            interp.run_method(entry, args)?
         };
         Ok(interp.finish(ret))
     }

@@ -343,17 +343,20 @@ fn out_of_fuel_errors_identically() {
     }
 }
 
+/// One monomorphic virtual call site, called 100 times.
+const MONOMORPHIC_CALLS: &str = "class B { int f() { return 1; } }
+    class M {
+        public static void main(String[] a) {
+            B b = new B();
+            int s = 0;
+            for (int i = 0; i < 100; i++) { s += b.f(); }
+            System.out.println(s);
+        }
+    }";
+
 #[test]
 fn decoded_reports_inline_cache_traffic() {
-    let src = "class B { int f() { return 1; } }
-        class M {
-            public static void main(String[] a) {
-                B b = new B();
-                int s = 0;
-                for (int i = 0; i < 100; i++) { s += b.f(); }
-                System.out.println(s);
-            }
-        }";
+    let src = MONOMORPHIC_CALLS;
     let out = run_with(src, Dispatch::Decoded, false).unwrap();
     assert_eq!(out.ic_hits + out.ic_misses, 100, "one IC probe per call");
     assert!(out.ic_hits >= 99, "monomorphic site should hit after fill");
@@ -365,6 +368,32 @@ fn decoded_reports_inline_cache_traffic() {
     let ir = run_with(src, Dispatch::Ir, false).unwrap();
     assert_eq!(ir.ic_hits, out.ic_hits, "IR IC hits");
     assert_eq!(ir.ic_misses, out.ic_misses, "IR IC misses");
+}
+
+/// A VM handed every prepared form still runs the engine its dispatch
+/// names: Legacy probes no inline cache, and all three agree bit for bit.
+#[test]
+fn prepared_forms_run_the_requested_engine() {
+    let mut prep = Vm::from_source(MONOMORPHIC_CALLS).unwrap();
+    let (decoded, ir) = prep.shared_forms();
+    assert!(decoded.is_some() && ir.is_some());
+    let run = |dispatch| {
+        Vm::from_prepared(prep.program().clone(), decoded.clone(), ir.clone(), false)
+            .with_dispatch(dispatch)
+            .run_main()
+            .unwrap()
+    };
+    let legacy = run(Dispatch::Legacy);
+    assert_eq!(
+        (legacy.ic_hits, legacy.ic_misses),
+        (0, 0),
+        "Legacy has no IC"
+    );
+    for dispatch in OPTIMIZED {
+        let out = run(dispatch);
+        assert_eq!(out.ic_hits + out.ic_misses, 100, "{dispatch:?}");
+        assert_outcomes_eq(&legacy, &out, &format!("prepared {dispatch:?}"));
+    }
 }
 
 // ---- generative differential ------------------------------------------

@@ -60,6 +60,24 @@ fn parse_env_jobs(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
+/// [`effective_jobs`], clamped to the available cores: more workers than
+/// cores only time-slice and add scheduler noise. Warns on stderr when
+/// the clamp engages. Returns `(requested, effective, cores)`.
+pub fn clamp_workers(requested: usize) -> (usize, usize, usize) {
+    let requested = effective_jobs(requested);
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let effective = requested.min(cores);
+    if effective < requested {
+        eprintln!(
+            "jepo-pool: clamping {requested} workers to {cores} available core(s) \
+             to avoid oversubscription"
+        );
+    }
+    (requested, effective, cores)
+}
+
 /// Per-worker metric handles, resolved once per [`parallel_map`] call
 /// (never per item) and only while the global `jepo-trace` registry is
 /// collecting — the disabled-path cost of pool instrumentation is a

@@ -27,16 +27,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a, the repo's standard content hash.
-fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// 128-bit content key (two independently-seeded FNV-1a passes) —
 /// collision odds are negligible at cache scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,7 +35,11 @@ pub struct ContentKey(u64, u64);
 impl ContentKey {
     /// Hash one byte string.
     pub fn of(bytes: &[u8]) -> ContentKey {
-        ContentKey(fnv1a(bytes, 0), fnv1a(bytes, 0x9e3779b97f4a7c15))
+        use jepo_trace::{fnv1a, FNV_OFFSET};
+        ContentKey(
+            fnv1a(FNV_OFFSET, bytes.iter().copied()),
+            fnv1a(FNV_OFFSET ^ 0x9e3779b97f4a7c15, bytes.iter().copied()),
+        )
     }
 
     /// Hash one named file (length-prefixed so name/body bytes cannot

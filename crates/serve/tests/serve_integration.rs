@@ -42,10 +42,12 @@ fn shutdown_and_join(addr: &str, handle: jepo_serve::ServerHandle) {
     handle.join();
 }
 
-/// Satellite: warm served responses are byte-identical to cold CLI
-/// output for analyze/energy/table4 across concurrent clients 1, 2, 4.
+/// Warm served responses are byte-identical to cold CLI output for
+/// analyze/energy/profile/table4 across concurrent clients 1, 2, 4.
 /// The cold reference is `ops::execute` on a fresh cache — exactly the
-/// strings the CLI prints (it calls the same renderers).
+/// strings the CLI prints (it calls the same renderers). Every first
+/// response is tagged `cold` and every repeat `warm`: the repeats are
+/// served from the response memo, not recomputed.
 #[test]
 fn warm_responses_match_cold_cli_bytes_under_concurrency() {
     let catalog: Vec<Request> = {
@@ -55,6 +57,9 @@ fn warm_responses_match_cold_cli_bytes_under_concurrency() {
         v.push(r);
         let mut r = Request::new("energy");
         r.params.push(("top".into(), "8".into()));
+        r.files = small_corpus(3);
+        v.push(r);
+        let mut r = Request::new("profile");
         r.files = small_corpus(3);
         v.push(r);
         let mut r = Request::new("table4");
@@ -82,6 +87,7 @@ fn warm_responses_match_cold_cli_bytes_under_concurrency() {
     for (req, want) in catalog.iter().zip(&reference) {
         let resp = client::request(&addr, req).expect("cold request");
         assert!(resp.is_ok(), "{:?}", resp.error);
+        assert_eq!(resp.cache, "cold", "first {} was not computed", req.verb);
         assert_eq!(&resp.body, want, "cold served bytes differ from CLI bytes");
     }
     for clients in [1usize, 2, 4] {
@@ -96,6 +102,7 @@ fn warm_responses_match_cold_cli_bytes_under_concurrency() {
                             let req = &catalog[(c + n) % catalog.len()];
                             let resp = client::request(addr, req).expect("warm request");
                             assert!(resp.is_ok(), "{:?}", resp.error);
+                            assert_eq!(resp.cache, "warm", "repeat {} missed the memo", req.verb);
                             got.push((req.verb.clone(), resp.body));
                         }
                         got

@@ -45,3 +45,16 @@ pub use span::{
     active, bind_probe, instant, span, track, would_trace, EnergyProbe, ProbeGuard, SpanGuard,
     TraceData, Tracer, TrackGuard,
 };
+
+/// FNV-1a/64 offset basis: the usual starting point for [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a/64 over `bytes`, starting from `basis` — the workspace's one
+/// deterministic, dependency-free hash (span IDs, analyzer cache keys,
+/// daemon content keys). Stable across platforms and runs.
+#[inline]
+pub fn fnv1a(basis: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(basis, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

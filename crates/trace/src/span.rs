@@ -30,16 +30,6 @@ pub trait EnergyProbe: Send + Sync {
     fn total_joules(&self) -> f64;
 }
 
-/// FNV-1a 64-bit over a byte string (stable across platforms/runs).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// splitmix64 finalizer — spreads sequence numbers across ID space.
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -255,7 +245,7 @@ fn enter_track(core: &Arc<Core>, name: &str) -> TrackGuard {
                 let i = st.tracks.len();
                 st.tracks.push(Track {
                     name: name.to_string(),
-                    name_hash: fnv1a(name.as_bytes()),
+                    name_hash: crate::fnv1a(crate::FNV_OFFSET, name.bytes()),
                     next_span_seq: 0,
                     next_event_seq: 0,
                 });

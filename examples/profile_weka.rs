@@ -41,5 +41,5 @@ fn main() {
             r.accuracy_optimized,
         );
     }
-    println!("\n(The full ten-classifier table: `cargo run -p jepo-bench --bin table4 --release`)");
+    println!("\n(The full ten-classifier table: `cargo run -p jepo-cli --release -- table4`)");
 }

@@ -1,8 +1,9 @@
-//! Integration tests for the flow-sensitive analysis layer (PR 3
-//! acceptance criteria): false-positive suppression vs the syntactic
-//! baseline, flow-only suggestions on the bundled corpus, impact-ranked
-//! optimizer output with a deterministic total order, parallel
-//! bit-identity, and the checked-in Fig. 5 snapshot.
+//! Integration tests for the flow-sensitive analysis layer:
+//! false-positive suppression vs the syntactic baseline, flow-only
+//! suggestions on the bundled corpus, impact-ranked optimizer output
+//! with a deterministic total order, parallel bit-identity, and the
+//! checked-in snapshots (the Fig. 5 view and the interprocedural
+//! analyzer's per-component counts).
 
 use jepo::analyzer::{AnalysisMode, Analyzer, JavaComponent};
 use jepo::core::{corpus, JepoOptimizer};
@@ -118,26 +119,52 @@ fn optimizer_output_is_impact_ranked_and_deterministic() {
     assert!(a[0].impact > a[a.len() - 1].impact);
 }
 
+/// Compare `rendered` with `tests/snapshots/<name>`, or rewrite the
+/// snapshot when `UPDATE_SNAPSHOTS` is set.
+fn assert_matches_snapshot(name: &str, rendered: &str) {
+    let path = format!("{}/tests/snapshots/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
+        std::fs::write(&path, rendered).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .expect("snapshot missing — run with UPDATE_SNAPSHOTS=1 to create it");
+    assert_eq!(
+        rendered, expected,
+        "{name} drifted from tests/snapshots/{name}; \
+         if intentional, regenerate with UPDATE_SNAPSHOTS=1"
+    );
+}
+
 /// The Fig. 5 optimizer view over the bundled corpus, snapshot-pinned so
 /// any ranking change shows up as a reviewable diff. Regenerate with
 /// `UPDATE_SNAPSHOTS=1 cargo test -p jepo --test flow_analysis`.
 #[test]
 fn optimizer_view_matches_snapshot() {
     let p = corpus::full_corpus();
-    let view = JepoOptimizer::new().view(&p);
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/snapshots/optimizer_view.txt"
+    assert_matches_snapshot("optimizer_view.txt", &JepoOptimizer::new().view(&p));
+}
+
+/// Per-component suggestion counts of the full interprocedural analyzer
+/// over the bundled corpus, pinned so a rule change that adds or drops a
+/// finding anywhere shows up as a one-line diff.
+#[test]
+fn interproc_component_counts_match_snapshot() {
+    let found = Analyzer::interprocedural().analyze_project(&corpus::full_corpus());
+    let rows: Vec<String> = JavaComponent::ALL
+        .iter()
+        .chain(&JavaComponent::EXTENDED)
+        .chain(&JavaComponent::INTERPROC)
+        .map(|&c| {
+            let n = found.iter().filter(|s| s.component == c).count();
+            format!("    \"{c:?}\": {n}")
+        })
+        .collect();
+    let rendered = format!(
+        "{{\n  \"mode\": \"interproc+extended\",\n  \"total\": {},\n  \
+         \"components\": {{\n{}\n  }}\n}}\n",
+        found.len(),
+        rows.join(",\n")
     );
-    if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
-        std::fs::write(path, &view).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(path)
-        .expect("snapshot missing — run with UPDATE_SNAPSHOTS=1 to create it");
-    assert_eq!(
-        view, expected,
-        "optimizer view drifted from tests/snapshots/optimizer_view.txt; \
-         if intentional, regenerate with UPDATE_SNAPSHOTS=1"
-    );
+    assert_matches_snapshot("analyzer_counts.json", &rendered);
 }
