@@ -140,14 +140,6 @@ impl Cfg {
         seen
     }
 
-    /// The innermost structural loop containing `node`, if any.
-    pub fn innermost_loop(&self, node: NodeId) -> Option<&NaturalLoop> {
-        self.loops
-            .iter()
-            .filter(|l| l.contains(node))
-            .max_by_key(|l| l.depth)
-    }
-
     fn fill_loop_metadata(&mut self) {
         // Depth: 1 + number of distinct enclosing loops. Loops are
         // recorded with contiguous node ranges, so loop A encloses loop

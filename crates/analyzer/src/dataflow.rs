@@ -57,11 +57,6 @@ impl BitSet {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
-    /// Remove one element.
-    pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
     /// Membership test.
     pub fn contains(&self, i: usize) -> bool {
         self.words[i / 64] & (1 << (i % 64)) != 0
@@ -607,19 +602,6 @@ impl UnitFlow {
             .iter()
             .find(|((c, m), _)| *c == ci && *m == mi)
             .map(|(_, f)| f)
-    }
-
-    /// All method flows with their (class, method) indices.
-    pub fn methods(&self) -> impl Iterator<Item = (usize, usize, &MethodFlow)> {
-        self.methods.iter().map(|((c, m), f)| (*c, *m, f))
-    }
-
-    /// Find the statement node at `span` across all methods (statement
-    /// spans are unique within a parsed unit).
-    pub fn stmt_node(&self, span: Span) -> Option<(&MethodFlow, NodeId)> {
-        self.methods
-            .iter()
-            .find_map(|(_, f)| f.node_at(span).map(|n| (f, n)))
     }
 
     /// Whether a field of class `ci` named `name` is ever assigned —

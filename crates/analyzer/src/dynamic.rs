@@ -8,7 +8,6 @@
 
 use crate::engine::Analyzer;
 use crate::suggestion::Suggestion;
-use jepo_jlang::ParseError;
 use std::collections::HashMap;
 
 /// Result of re-analyzing an edited file.
@@ -25,10 +24,10 @@ pub struct AnalysisDelta {
 /// Incremental analyzer with per-file memory.
 pub struct DynamicAnalyzer {
     analyzer: Analyzer,
+    /// Last suggestions per file. A parse error leaves a file's entry
+    /// as it was: editing mid-statement is normal, and the previous
+    /// suggestions stay visible, as IDEs do.
     last: HashMap<String, Vec<Suggestion>>,
-    /// Last parse error per file (editing mid-statement is normal; the
-    /// previous suggestions stay visible, as IDEs do).
-    errors: HashMap<String, ParseError>,
 }
 
 impl Default for DynamicAnalyzer {
@@ -43,7 +42,6 @@ impl DynamicAnalyzer {
         DynamicAnalyzer {
             analyzer: Analyzer::new(),
             last: HashMap::new(),
-            errors: HashMap::new(),
         }
     }
 
@@ -53,7 +51,6 @@ impl DynamicAnalyzer {
     pub fn update(&mut self, file: &str, src: &str) -> AnalysisDelta {
         match jepo_jlang::parse_unit(src) {
             Ok(unit) => {
-                self.errors.remove(file);
                 let current = self.analyzer.analyze_unit(file, &unit);
                 let before = self.last.insert(file.to_string(), current.clone());
                 let before = before.unwrap_or_default();
@@ -73,19 +70,11 @@ impl DynamicAnalyzer {
                     current,
                 }
             }
-            Err(e) => {
-                self.errors.insert(file.to_string(), e);
-                AnalysisDelta {
-                    current: self.last.get(file).cloned().unwrap_or_default(),
-                    ..Default::default()
-                }
-            }
+            Err(_) => AnalysisDelta {
+                current: self.last.get(file).cloned().unwrap_or_default(),
+                ..Default::default()
+            },
         }
-    }
-
-    /// Last parse error for a file, if its latest contents didn't parse.
-    pub fn parse_error(&self, file: &str) -> Option<&ParseError> {
-        self.errors.get(file)
     }
 
     /// Current suggestions for a file.
@@ -122,10 +111,7 @@ mod tests {
         da.update("A.java", "class A { int f(int x) { return x % 2; } }");
         let broken = da.update("A.java", "class A { int f(int x) { return x % ; } }");
         assert_eq!(broken.current.len(), 1, "previous suggestions retained");
-        assert!(da.parse_error("A.java").is_some());
-        // Recovering clears the error.
-        da.update("A.java", "class A { }");
-        assert!(da.parse_error("A.java").is_none());
+        assert!(broken.added.is_empty() && broken.removed.is_empty());
     }
 
     #[test]

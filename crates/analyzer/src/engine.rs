@@ -77,14 +77,6 @@ impl Analyzer {
         }
     }
 
-    /// Analyzer with a custom rule subset (flow-sensitive).
-    pub fn with_rules(rules: Vec<Box<dyn Rule>>) -> Analyzer {
-        Analyzer {
-            rules,
-            mode: AnalysisMode::FlowSensitive,
-        }
-    }
-
     /// All Table I rules plus the extension rules (exceptions/objects
     /// and the flow-only loop-invariant/dead-store rules).
     pub fn with_extensions() -> Analyzer {
@@ -112,16 +104,6 @@ impl Analyzer {
     pub fn with_mode(mut self, mode: AnalysisMode) -> Analyzer {
         self.mode = mode;
         self
-    }
-
-    /// The active analysis mode.
-    pub fn mode(&self) -> AnalysisMode {
-        self.mode
-    }
-
-    /// Number of active rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// Analyze one parsed unit.
@@ -715,18 +697,5 @@ class Sink {
         let got = analyzer.analyze_project_incremental_jobs(&smaller, &mut cache, 1);
         assert_eq!(cache.len(), 1, "B.java pruned");
         assert!(got.iter().all(|s| s.file == "A.java"));
-    }
-
-    #[test]
-    fn rule_subset_is_respected() {
-        let analyzer = Analyzer::with_rules(vec![Box::new(
-            crate::rules::arithmetic_operators::ArithmeticOperatorsRule,
-        )]);
-        assert_eq!(analyzer.rule_count(), 1);
-        let unit = jepo_jlang::parse_unit("class A { int f(int x) { return x > 0 ? x % 2 : 0; } }")
-            .unwrap();
-        let got = analyzer.analyze_unit("A.java", &unit);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].component, JavaComponent::ArithmeticOperators);
     }
 }

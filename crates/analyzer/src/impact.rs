@@ -20,12 +20,7 @@ pub fn score(factor: f64, trip_product: f64) -> f64 {
 }
 
 /// Annotate `suggestions` (all from the unit `flow` describes) with loop
-/// depth and impact.
-pub fn annotate(suggestions: &mut [Suggestion], flow: &UnitFlow) {
-    annotate_with(suggestions, flow, None);
-}
-
-/// [`annotate`], plus interprocedural weighting: the cross-method
+/// depth and impact. With `interproc` facts, the cross-method
 /// components scale their base factor by the worst per-call count the
 /// callee summary reports (a helper allocating 100 buffers per call
 /// outranks one allocating 1), keeping the `factor × trips` shape.

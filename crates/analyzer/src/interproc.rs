@@ -207,7 +207,6 @@ pub struct ProgramFacts {
     summaries: Vec<MethodSummary>,
     sites: Vec<Vec<CallSite>>,
     by_file: Vec<Vec<usize>>,
-    sccs: Vec<Vec<usize>>,
     scc_of: Vec<usize>,
     dep_hashes: Vec<u64>,
     dep_files: Vec<BTreeSet<String>>,
@@ -351,16 +350,10 @@ impl ProgramFacts {
             summaries,
             sites,
             by_file,
-            sccs,
             scc_of,
             dep_hashes,
             dep_files,
         }
-    }
-
-    /// Index of `file` in the project, if present.
-    pub fn file_index(&self, file: &str) -> Option<usize> {
-        self.file_names.iter().position(|n| n == file)
     }
 
     /// All methods, in project order.
@@ -383,25 +376,8 @@ impl ProgramFacts {
         &self.by_file[fi]
     }
 
-    /// Resolved call sites in file `fi` matching `line` and `name`.
-    pub fn sites_matching<'a>(
-        &'a self,
-        fi: usize,
-        line: u32,
-        name: &'a str,
-    ) -> impl Iterator<Item = &'a CallSite> + 'a {
-        self.by_file[fi]
-            .iter()
-            .flat_map(move |&mi| self.sites[mi].iter())
-            .filter(move |s| s.line == line && s.name == name)
-    }
-
-    /// SCCs in emission (reverse topological, callees-first) order.
-    pub fn sccs(&self) -> &[Vec<usize>] {
-        &self.sccs
-    }
-
-    /// SCC index of method `idx` (position in [`ProgramFacts::sccs`]).
+    /// SCC index of method `idx`, in emission (reverse topological,
+    /// callees-first) order.
     pub fn scc_of(&self, idx: usize) -> usize {
         self.scc_of[idx]
     }

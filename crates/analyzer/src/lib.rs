@@ -10,7 +10,7 @@
 //!   and worst-case energy factor.
 //! * [`rules`] — one detection rule per component, pattern-matching the
 //!   [`jepo_jlang`] AST (with spans, so every suggestion lands on a line).
-//! * [`cfg`] — per-method control-flow graphs lowered from the AST, with
+//! * [`cfg`](mod@cfg) — per-method control-flow graphs lowered from the AST, with
 //!   structural natural-loop detection and trip-count estimates.
 //! * [`dataflow`] — a generic worklist solver (forward/backward)
 //!   instantiated for reaching definitions, live variables, and

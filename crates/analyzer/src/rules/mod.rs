@@ -26,7 +26,6 @@ use crate::dataflow::UnitFlow;
 use crate::interproc::ProgramFacts;
 use crate::suggestion::{JavaComponent, Suggestion};
 use jepo_jlang::{ClassDecl, CompilationUnit, Expr, MethodDecl, PrimType, Stmt, Type};
-use std::collections::HashSet;
 
 /// Context a rule sees: one file's parsed unit, plus (in flow-sensitive
 /// mode) the unit's dataflow facts, plus (in interprocedural mode) the
@@ -81,40 +80,6 @@ impl<'a> RuleCtx<'a> {
                 }
             }
         }
-    }
-
-    /// Names declared as `String` anywhere in a class (fields, params,
-    /// locals across all methods) — a coarse but effective type oracle
-    /// for the string rules.
-    pub fn string_names(&self, class: &ClassDecl) -> HashSet<String> {
-        let mut names = HashSet::new();
-        let is_string = |t: &Type| matches!(t, Type::Class(n, _) if n == "String");
-        for f in &class.fields {
-            if is_string(&f.ty) {
-                names.insert(f.name.clone());
-            }
-        }
-        for m in &class.methods {
-            for p in &m.params {
-                if is_string(&p.ty) {
-                    names.insert(p.name.clone());
-                }
-            }
-            if let Some(body) = &m.body {
-                for s in &body.stmts {
-                    jepo_jlang::walk_stmts(s, &mut |st| {
-                        if let jepo_jlang::StmtKind::Local { ty, vars, .. } = &st.kind {
-                            if is_string(ty) {
-                                for (n, _, _) in vars {
-                                    names.insert(n.clone());
-                                }
-                            }
-                        }
-                    });
-                }
-            }
-        }
-        names
     }
 }
 
@@ -251,6 +216,7 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn all_rules_cover_all_components() {
@@ -260,22 +226,5 @@ mod tests {
         for c in JavaComponent::ALL {
             assert!(covered.contains(&c), "{c:?} has no rule");
         }
-    }
-
-    #[test]
-    fn string_names_collects_fields_params_locals() {
-        let unit = jepo_jlang::parse_unit(
-            "class A { String f; void m(String p) { String l = \"\"; int n = 0; } }",
-        )
-        .unwrap();
-        let ctx = RuleCtx {
-            file: "A.java",
-            unit: &unit,
-            flow: None,
-            interproc: None,
-        };
-        let names = ctx.string_names(&unit.types[0]);
-        assert!(names.contains("f") && names.contains("p") && names.contains("l"));
-        assert!(!names.contains("n"));
     }
 }

@@ -25,8 +25,9 @@
 //! Results land in `BENCH_kernel.json`.
 //!
 //! Usage: `kernel [scalar_iters] [vector_iters] [--threads N]`
-//! (defaults 20,000,000 and 200,000; threads defaults to
-//! `max(2, cores)`; CI's perf-smoke passes a small budget).
+//! (defaults 20,000,000 and 200,000; `--threads` is a request that
+//! [`jepo_pool::clamp_workers`] resolves and clamps to the available
+//! cores; CI's perf-smoke passes a small budget).
 
 use jepo_ml::{EfficiencyProfile, Kernel, Precision};
 use jepo_rapl::{OpCategory, OpCounter};
@@ -274,10 +275,7 @@ fn main() {
         .get(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(200_000);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = threads_flag.unwrap_or_else(|| cores.max(2)).max(1);
+    let (_requested, threads, cores) = jepo_pool::clamp_workers(threads_flag.unwrap_or(0));
 
     // The optimized profile's F32 quantization is the heavier arithmetic
     // path — the conservative choice for measuring accounting overhead.

@@ -77,17 +77,100 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Pop `flag <value>` out of `args` (any position). `Err` = flag present
-/// but missing its value.
-fn extract_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<PathBuf>, ()> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
+/// Telemetry flags every subcommand accepts, before or after its name.
+const TELEMETRY_FLAGS: [&str; 2] = ["--trace", "--metrics"];
+
+/// What a subcommand accepts after its name: flags that take a value,
+/// switches, and how many positionals.
+struct Spec {
+    valued: &'static [&'static str],
+    switches: &'static [&'static str],
+    positional: std::ops::RangeInclusive<usize>,
+}
+
+fn spec(cmd: &str) -> Option<Spec> {
+    let (valued, switches, positional): (&[&str], &[&str], _) = match cmd {
+        "analyze" => (&["--cache-dir"], &[], 1..=1),
+        "optimize" => (&[], &["--write", "--aggressive"], 1..=1),
+        "profile" => (&["--main", "--mode", "--interval"], &[], 1..=1),
+        "metrics" => (&[], &[], 2..=usize::MAX),
+        "table4" => (&["--jobs"], &[], 0..=2),
+        "gen-corpus" => (&["--files", "--seed", "--rate"], &[], 1..=1),
+        "energy" => (&["--top"], &[], 1..=1),
+        "diff-energy" => (&["--cache-dir", "--jobs"], &["--fail-on-regression"], 2..=2),
+        "serve" => (&["--addr", "--jobs", "--queue"], &[], 0..=0),
+        "demo" => (&[], &[], 0..=0),
+        _ => return None,
     };
-    if i + 1 >= args.len() {
-        return Err(());
+    Some(Spec {
+        valued,
+        switches,
+        positional,
+    })
+}
+
+/// A subcommand's arguments, split into flags and positionals.
+struct Args {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Split `args` by `spec` plus the telemetry flags. `None` — a usage
+    /// error — for an unknown `--flag`, a flag missing its value, or a
+    /// positional count `spec` does not allow.
+    fn parse(args: &[String], spec: &Spec) -> Option<Args> {
+        let mut out = Args {
+            values: Vec::new(),
+            switches: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let known = |flags: &[&'static str]| flags.iter().copied().find(|f| f == arg);
+            if let Some(flag) = known(spec.valued).or_else(|| known(&TELEMETRY_FLAGS)) {
+                let value = it.next().filter(|v| !v.starts_with("--"))?;
+                out.values.push((flag, value.clone()));
+            } else if let Some(flag) = known(spec.switches) {
+                out.switches.push(flag);
+            } else if arg.starts_with("--") {
+                return None;
+            } else {
+                out.positional.push(arg.clone());
+            }
+        }
+        spec.positional
+            .contains(&out.positional.len())
+            .then_some(out)
     }
-    args.remove(i);
-    Ok(Some(PathBuf::from(args.remove(i))))
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn path(&self, i: usize) -> &Path {
+        Path::new(&self.positional[i])
+    }
+
+    /// A flag's number, `default` when the flag is absent; `None` when
+    /// the value does not parse.
+    fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Option<T> {
+        parse_or(self.value(flag), default)
+    }
+}
+
+/// `default` for `None`, else the parsed value (`None` if it does not
+/// parse).
+fn parse_or<T: std::str::FromStr>(value: Option<&str>, default: T) -> Option<T> {
+    value.map_or(Some(default), |v| v.parse().ok())
 }
 
 /// Export the run's telemetry after a successful subcommand.
@@ -410,32 +493,7 @@ fn cmd_table4(instances: usize, folds: usize, jobs: usize) -> Result<(), String>
 /// Boot the profiling daemon and block until a `shutdown` request
 /// drains it. Telemetry paths are flushed by the server's drain, so a
 /// graceful stop always persists them.
-fn cmd_serve(
-    rest: &[String],
-    trace_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-) -> Result<(), String> {
-    let flag_val = |flag: &str| -> Option<&String> {
-        rest.iter()
-            .position(|a| a == flag)
-            .and_then(|i| rest.get(i + 1))
-    };
-    let addr = flag_val("--addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7457".to_string());
-    let parse_or = |flag: &str, default: usize| -> Result<usize, String> {
-        match flag_val(flag) {
-            Some(v) => v.parse().map_err(|_| format!("bad {flag}: {v}")),
-            None => Ok(default),
-        }
-    };
-    let config = jepo_serve::ServerConfig {
-        addr,
-        workers: parse_or("--jobs", 0)?,
-        queue_depth: parse_or("--queue", 32)?,
-        trace_out,
-        metrics_out,
-    };
+fn cmd_serve(config: jepo_serve::ServerConfig) -> Result<(), String> {
     let handle = jepo_serve::serve(config).map_err(|e| e.to_string())?;
     println!(
         "jepo serve listening on {} ({} workers)",
@@ -465,154 +523,95 @@ fn cmd_demo() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Telemetry flags are global: strip them before positional parsing.
-    let Ok(trace_out) = extract_flag_value(&mut args, "--trace") else {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // The subcommand is the first argument that is not a telemetry flag
+    // or its value; every other argument belongs to it.
+    let mut at = 0;
+    while args
+        .get(at)
+        .is_some_and(|a| TELEMETRY_FLAGS.contains(&a.as_str()))
+    {
+        at += 2;
+    }
+    let Some(cmd) = args.get(at) else {
         return usage();
     };
-    let Ok(metrics_out) = extract_flag_value(&mut args, "--metrics") else {
+    let rest: Vec<String> = args[..at].iter().chain(&args[at + 1..]).cloned().collect();
+    let Some(a) = spec(cmd).and_then(|spec| Args::parse(&rest, &spec)) else {
         return usage();
     };
+    let trace_out = a.value("--trace").map(PathBuf::from);
+    let metrics_out = a.value("--metrics").map(PathBuf::from);
     if trace_out.is_some() {
         jepo_trace::Tracer::global().enable();
     }
     if metrics_out.is_some() {
         jepo_trace::Registry::global().enable();
     }
-    // --cache-dir is shared by analyze and diff-energy.
-    let Ok(cache_dir) = extract_flag_value(&mut args, "--cache-dir") else {
-        return usage();
-    };
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    let rest = &args[1..];
+    let cache_dir = a.value("--cache-dir").map(Path::new);
     // diff-energy signals a regression through a dedicated exit code.
     let mut regression_exit = false;
     let result = match cmd.as_str() {
-        "analyze" => match rest.first() {
-            Some(p) => cmd_analyze(Path::new(p), cache_dir.as_deref()),
+        "analyze" => cmd_analyze(a.path(0), cache_dir),
+        "energy" => match a.num("--top", 20) {
+            Some(top) => cmd_energy(a.path(0), top),
             None => return usage(),
         },
-        "energy" => match rest.first() {
-            Some(p) if !p.starts_with("--") => {
-                let top = match rest.iter().position(|a| a == "--top") {
-                    Some(i) => match rest.get(i + 1).and_then(|s| s.parse().ok()) {
-                        Some(n) => n,
-                        None => return usage(),
-                    },
-                    None => 20,
-                };
-                cmd_energy(Path::new(p), top)
-            }
-            _ => return usage(),
-        },
-        "gen-corpus" => match rest.first() {
-            Some(p) => {
-                let num = |flag: &str, default: f64| -> Option<f64> {
-                    match rest.iter().position(|a| a == flag) {
-                        Some(i) => rest.get(i + 1).and_then(|s| s.parse().ok()),
-                        None => Some(default),
-                    }
-                };
-                let (Some(files), Some(seed), Some(rate)) = (
-                    num("--files", 1000.0),
-                    num("--seed", 42.0),
-                    num("--rate", 0.35),
-                ) else {
-                    return usage();
-                };
-                cmd_gen_corpus(Path::new(p), files as usize, seed as u64, rate)
-            }
+        "gen-corpus" => {
+            let (Some(files), Some(seed), Some(rate)) = (
+                a.num("--files", 1000),
+                a.num("--seed", 42),
+                a.num("--rate", 0.35),
+            ) else {
+                return usage();
+            };
+            cmd_gen_corpus(a.path(0), files, seed, rate)
+        }
+        "diff-energy" => match a.num("--jobs", 0) {
+            Some(jobs) => cmd_diff_energy(a.path(0), a.path(1), jobs, cache_dir).map(|regressed| {
+                regression_exit = regressed && a.has("--fail-on-regression");
+            }),
             None => return usage(),
         },
-        "diff-energy" => match (rest.first(), rest.get(1)) {
-            (Some(a), Some(b)) if !a.starts_with("--") && !b.starts_with("--") => {
-                let jobs = match rest.iter().position(|x| x == "--jobs") {
-                    Some(i) => match rest.get(i + 1).and_then(|s| s.parse().ok()) {
-                        Some(n) => n,
-                        None => return usage(),
-                    },
-                    None => 0,
-                };
-                let fail_on_regression = rest.iter().any(|x| x == "--fail-on-regression");
-                cmd_diff_energy(Path::new(a), Path::new(b), jobs, cache_dir.as_deref()).map(
-                    |regressed| {
-                        regression_exit = regressed && fail_on_regression;
-                    },
-                )
-            }
-            _ => return usage(),
-        },
-        "optimize" => match rest.first() {
-            Some(p) => cmd_optimize(
-                Path::new(p),
-                rest.iter().any(|a| a == "--write"),
-                rest.iter().any(|a| a == "--aggressive"),
-            ),
-            None => return usage(),
-        },
-        "profile" => match rest.first() {
-            Some(p) => {
-                let chosen = rest
-                    .iter()
-                    .position(|a| a == "--main")
-                    .and_then(|i| rest.get(i + 1))
-                    .cloned();
-                let interval_us = match rest.iter().position(|a| a == "--interval") {
-                    Some(i) => match rest.get(i + 1).and_then(|s| s.parse().ok()) {
-                        Some(us) => us,
-                        None => return usage(),
-                    },
-                    None => 100u64,
-                };
-                let mode = match rest
-                    .iter()
-                    .position(|a| a == "--mode")
-                    .and_then(|i| rest.get(i + 1))
-                    .map(|s| s.as_str())
-                {
-                    None | Some("instrumented") => ProfilingMode::Instrumented,
-                    Some("sampling") => ProfilingMode::Sampling { interval_us },
-                    Some("both") => ProfilingMode::Both { interval_us },
-                    Some(_) => return usage(),
-                };
-                cmd_profile(Path::new(p), chosen, mode)
-            }
-            None => return usage(),
-        },
-        "metrics" => match rest.split_first() {
-            Some((p, entries)) if !entries.is_empty() => cmd_metrics(Path::new(p), entries),
-            _ => return usage(),
-        },
+        "optimize" => cmd_optimize(a.path(0), a.has("--write"), a.has("--aggressive")),
+        "profile" => {
+            let Some(interval_us) = a.num("--interval", 100) else {
+                return usage();
+            };
+            let mode = match a.value("--mode") {
+                None | Some("instrumented") => ProfilingMode::Instrumented,
+                Some("sampling") => ProfilingMode::Sampling { interval_us },
+                Some("both") => ProfilingMode::Both { interval_us },
+                Some(_) => return usage(),
+            };
+            cmd_profile(a.path(0), a.value("--main").map(str::to_string), mode)
+        }
+        "metrics" => cmd_metrics(a.path(0), &a.positional[1..]),
         "table4" => {
-            let jobs = match rest.iter().position(|a| a == "--jobs") {
-                Some(i) => match rest.get(i + 1).and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage(),
-                },
-                None => 1,
+            let (Some(instances), Some(folds), Some(jobs)) = (
+                parse_or(a.positional.first().map(String::as_str), 2_000),
+                parse_or(a.positional.get(1).map(String::as_str), 10),
+                a.num("--jobs", 1),
+            ) else {
+                return usage();
             };
-            let positional: Vec<&String> = {
-                let jobs_at = rest.iter().position(|a| a == "--jobs");
-                rest.iter()
-                    .enumerate()
-                    .filter(|(i, _)| jobs_at.is_none_or(|j| *i != j && *i != j + 1))
-                    .map(|(_, a)| a)
-                    .collect()
-            };
-            let instances = positional
-                .first()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(2_000);
-            let folds = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
             cmd_table4(instances, folds, jobs)
         }
         "serve" => {
-            // The server flushes telemetry itself during the drain;
-            // taking the paths keeps the generic exporter below idle.
-            let r = cmd_serve(rest, trace_out.clone(), metrics_out.clone());
-            return match r {
+            let (Some(workers), Some(queue_depth)) = (a.num("--jobs", 0), a.num("--queue", 32))
+            else {
+                return usage();
+            };
+            // The server flushes telemetry itself during the drain, so
+            // the generic exporter below stays idle.
+            let config = jepo_serve::ServerConfig {
+                addr: a.value("--addr").unwrap_or("127.0.0.1:7457").to_string(),
+                workers,
+                queue_depth,
+                trace_out,
+                metrics_out,
+            };
+            return match cmd_serve(config) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("error: {e}");

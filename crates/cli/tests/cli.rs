@@ -132,6 +132,25 @@ fn bad_usage_exits_nonzero() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // Misspelled or misplaced flags, flags missing their value and
+    // numbers that do not parse are usage errors, never silently
+    // ignored or replaced by a default.
+    let dir = temp_project("usage");
+    let dir = dir.to_str().unwrap();
+    for args in [
+        vec!["table4", "200", "3", "--job", "2"],
+        vec!["table4", "abc"],
+        vec!["table4", "200", "3", "--cache-dir", dir],
+        vec!["profile", dir, "--main"],
+        vec!["optimize", dir, "--wirte"],
+        vec!["serve", "--jobs", "x"],
+    ] {
+        let out = jepo().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    fs::remove_dir_all(dir).ok();
 }
 
 #[test]

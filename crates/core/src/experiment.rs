@@ -81,14 +81,6 @@ impl Default for WekaExperiment {
 }
 
 impl WekaExperiment {
-    /// The paper's full-size configuration (10,000 instances).
-    pub fn paper_scale() -> WekaExperiment {
-        WekaExperiment {
-            instances: 10_000,
-            ..Default::default()
-        }
-    }
-
     /// Generate the experiment's dataset.
     pub fn dataset(&self) -> Dataset {
         AirlinesGenerator::new(self.seed).generate(self.instances)
@@ -227,11 +219,6 @@ impl WekaExperiment {
         }
     }
 
-    /// Run all ten classifiers (Table IV).
-    pub fn run_all(&self) -> Vec<ClassifierResult> {
-        self.run_all_jobs(1)
-    }
-
     /// Run all ten classifiers (Table IV) with rows fanned out over up
     /// to `jobs` workers (`0` = one per core, `1` = sequential).
     ///
@@ -242,8 +229,7 @@ impl WekaExperiment {
     /// striped counters before every fold snapshot) merged in fold
     /// order; and each row's noise stream is derived from
     /// `(protocol seed, classifier)` rather than shared mutable RNG
-    /// state. The output is therefore bit-identical to `run_all()` for
-    /// any `jobs`.
+    /// state. The output is therefore bit-identical for any `jobs`.
     ///
     /// Rows parallelize here; each row's CV runs sequentially (ten rows
     /// saturate small machines without oversubscribing `jobs²` threads;

@@ -36,4 +36,4 @@ pub use experiment::{ClassifierResult, WekaExperiment};
 pub use optimizer::JepoOptimizer;
 pub use profiler::{JepoProfiler, PreparedProgram, ProfileReport, ProfilingMode, SampledProfile};
 pub use protocol::{derived_seed, MeasurementProtocol, NoiseModel, ProtocolOutcome};
-pub use stats::{mean, quartiles, std_dev, tukey_fences};
+pub use stats::{mean, quartiles, tukey_fences};

@@ -12,7 +12,6 @@ use jepo_jvm::{
     DecodedProgram, Dispatch, MethodEnergyRecord, Program, SampleSet, SampledMethodRecord,
     SamplingConfig, Vm, VmError,
 };
-use jepo_rapl::DeviceProfile;
 use std::sync::Arc;
 
 /// Shared, immutable compiled forms of one project — the unit of the
@@ -32,13 +31,6 @@ pub struct PreparedProgram {
     instr_decoded: Option<Arc<DecodedProgram>>,
     instr_ir: Option<Arc<jepo_jvm::ir::IrProgram>>,
     probes: usize,
-}
-
-impl PreparedProgram {
-    /// Probe count of the instrumented variant.
-    pub fn probes(&self) -> usize {
-        self.probes
-    }
 }
 
 /// How the profiler attributes energy to methods.
@@ -125,7 +117,6 @@ impl ProfileReport {
 /// The profiler: wraps project compilation, instrumentation, and the
 /// instrumented run.
 pub struct JepoProfiler {
-    device: DeviceProfile,
     /// Explicit main class when discovery is ambiguous.
     pub chosen_main: Option<String>,
     /// Instruction budget for the run.
@@ -149,18 +140,11 @@ impl JepoProfiler {
     /// Profiler on the paper's laptop device profile.
     pub fn new() -> JepoProfiler {
         JepoProfiler {
-            device: DeviceProfile::laptop_i5_3317u(),
             chosen_main: None,
             fuel: 2_000_000_000,
             dispatch: Dispatch::default(),
             mode: ProfilingMode::Instrumented,
         }
-    }
-
-    /// Use a different device profile.
-    pub fn with_device(mut self, device: DeviceProfile) -> JepoProfiler {
-        self.device = device;
-        self
     }
 
     /// Select the interpreter engine for the instrumented run.
@@ -244,7 +228,7 @@ impl JepoProfiler {
                 (vm, 0)
             }
         };
-        vm = vm.with_device(self.device.clone()).with_fuel(self.fuel);
+        vm = vm.with_fuel(self.fuel);
         if let Some(cfg) = sampling {
             vm = vm.with_sampling(cfg);
         }

@@ -78,11 +78,6 @@ impl ClassDecl {
                 && matches!(&m.params[0].ty, Type::Array(inner, 1) if **inner == Type::class("String"))
         })
     }
-
-    /// Find a method by name (first overload).
-    pub fn method(&self, name: &str) -> Option<&MethodDecl> {
-        self.methods.iter().find(|m| m.name == name)
-    }
 }
 
 /// A field declaration (one variable; multi-declarators are split by the
@@ -148,37 +143,6 @@ impl Type {
     /// Shorthand for a non-generic class type.
     pub fn class(name: &str) -> Type {
         Type::Class(name.to_string(), Vec::new())
-    }
-
-    /// Whether this is a numeric primitive.
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            Type::Prim(
-                PrimType::Byte
-                    | PrimType::Short
-                    | PrimType::Int
-                    | PrimType::Long
-                    | PrimType::Float
-                    | PrimType::Double
-                    | PrimType::Char
-            )
-        )
-    }
-
-    /// The wrapper-class name for a primitive (`int` → `Integer`).
-    pub fn wrapper_name(&self) -> Option<&'static str> {
-        match self {
-            Type::Prim(PrimType::Byte) => Some("Byte"),
-            Type::Prim(PrimType::Short) => Some("Short"),
-            Type::Prim(PrimType::Int) => Some("Integer"),
-            Type::Prim(PrimType::Long) => Some("Long"),
-            Type::Prim(PrimType::Float) => Some("Float"),
-            Type::Prim(PrimType::Double) => Some("Double"),
-            Type::Prim(PrimType::Char) => Some("Character"),
-            Type::Prim(PrimType::Boolean) => Some("Boolean"),
-            _ => None,
-        }
     }
 }
 
@@ -815,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_names_cover_all_primitives() {
+    fn primitive_keywords_round_trip() {
         for p in [
             PrimType::Byte,
             PrimType::Short,
@@ -826,10 +790,8 @@ mod tests {
             PrimType::Char,
             PrimType::Boolean,
         ] {
-            assert!(Type::Prim(p).wrapper_name().is_some());
             assert_eq!(PrimType::from_keyword(p.keyword()), Some(p));
         }
-        assert_eq!(Type::class("String").wrapper_name(), None);
     }
 
     #[test]

@@ -139,15 +139,6 @@ impl Program {
         None
     }
 
-    /// Field slot index by name, walking the hierarchy layout.
-    pub fn field_slot(&self, class: ClassId, name: &str) -> Option<u16> {
-        self.classes[class as usize]
-            .fields
-            .iter()
-            .position(|(n, _)| n == name)
-            .map(|i| i as u16)
-    }
-
     /// Whether `sub` is `sup` or a subclass of it.
     pub fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
         let mut cur = Some(sub);
@@ -238,13 +229,5 @@ mod tests {
         assert!(p.is_subclass(1, 0));
         assert!(p.is_subclass(0, 0));
         assert!(!p.is_subclass(0, 1));
-    }
-
-    #[test]
-    fn field_slots_follow_layout() {
-        let p = tiny_program();
-        assert_eq!(p.field_slot(1, "x"), Some(0));
-        assert_eq!(p.field_slot(1, "y"), Some(1));
-        assert_eq!(p.field_slot(0, "y"), None);
     }
 }

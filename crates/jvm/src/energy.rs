@@ -5,7 +5,7 @@
 //! not improve in lockstep — energy-disproportionate operations (static
 //! access, boxed wrappers) shrink energy more than time.
 
-use crate::opcode::{ArithOp, ArrayElem, MathFn, NumTy, Op};
+use crate::opcode::{ArithOp, MathFn, NumTy, Op};
 use jepo_rapl::OpCategory;
 
 /// Per-operation latency in nanoseconds, indexed like the cost model.
@@ -62,27 +62,6 @@ impl LatencyModel {
         snap.nonzero()
             .map(|(c, n)| n as f64 * self.nanos(c) * 1e-9)
             .sum()
-    }
-}
-
-/// Bundle of the models the interpreter charges against.
-#[derive(Debug, Clone)]
-pub struct EnergySettings {
-    /// Joules per op category.
-    pub cost: jepo_rapl::CostModel,
-    /// Nanoseconds per op category.
-    pub latency: LatencyModel,
-    /// Whether the cache model is active (ablation switch).
-    pub cache_enabled: bool,
-}
-
-impl Default for EnergySettings {
-    fn default() -> Self {
-        EnergySettings {
-            cost: jepo_rapl::CostModel::paper_calibrated(),
-            latency: LatencyModel::paper_calibrated(),
-            cache_enabled: true,
-        }
     }
 }
 
@@ -219,20 +198,6 @@ pub fn array_access_extra(hit: bool) -> OpCategory {
     }
 }
 
-/// Extra category per element for manual vs bulk array copies.
-pub fn copy_elem_category(bulk: bool) -> OpCategory {
-    if bulk {
-        OpCategory::ArrayCopyBulk
-    } else {
-        OpCategory::ArrayCopyElem
-    }
-}
-
-/// Which element-size the elem kind has (re-export convenience).
-pub fn elem_size(e: ArrayElem) -> u32 {
-    e.byte_size()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +267,7 @@ mod tests {
 
     #[test]
     fn every_real_op_has_a_category() {
+        use crate::opcode::ArrayElem;
         use crate::value::Value;
         let ops = vec![
             Op::Const(Value::Int(1)),

@@ -119,15 +119,9 @@ impl Heap {
         self.cells.is_empty()
     }
 
-    /// Render any value (including heap values) as Java's `toString`.
-    pub fn render(&self, v: &Value) -> String {
-        let mut out = String::new();
-        self.render_to(v, &mut out);
-        out
-    }
-
-    /// Render into an existing buffer — the allocation-free form used on
-    /// the interpreter's `Print`/`StrConcat` hot path.
+    /// Render any value (including heap values) as Java's `toString`
+    /// into `out` — allocation-free on the interpreter's
+    /// `Print`/`StrConcat` hot path.
     pub fn render_to(&self, v: &Value, out: &mut String) {
         use std::fmt::Write as _;
         match v {
@@ -227,25 +221,6 @@ impl CacheModel {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Miss ratio in `[0,1]` (0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
-    /// Forget all cached lines and counters.
-    pub fn reset(&mut self) {
-        for s in &mut self.tags {
-            s.clear();
-        }
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -254,15 +229,20 @@ mod tests {
 
     #[test]
     fn alloc_and_render() {
+        let render = |h: &Heap, v: Value| {
+            let mut out = String::new();
+            h.render_to(&v, &mut out);
+            out
+        };
         let mut h = Heap::new();
         let s = h.alloc(HeapObj::Str("hi".into()));
-        assert_eq!(h.render(&Value::Obj(s)), "hi");
-        assert_eq!(h.render(&Value::Int(3)), "3");
+        assert_eq!(render(&h, Value::Obj(s)), "hi");
+        assert_eq!(render(&h, Value::Int(3)), "3");
         let b = h.alloc(HeapObj::Boxed {
             wrapper: "Integer",
             value: Value::Int(9),
         });
-        assert_eq!(h.render(&Value::Obj(b)), "9");
+        assert_eq!(render(&h, Value::Obj(b)), "9");
     }
 
     #[test]
@@ -344,14 +324,5 @@ mod tests {
             !c.access(a) || !c.access(b),
             "one of a/b must have been evicted"
         );
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = CacheModel::default();
-        c.access(0);
-        c.reset();
-        assert_eq!(c.hits() + c.misses(), 0);
-        assert!(!c.access(0), "after reset the line is cold again");
     }
 }

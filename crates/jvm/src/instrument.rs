@@ -26,17 +26,6 @@ pub fn instrument_all(program: &mut Program) -> usize {
     probes
 }
 
-/// Instrument selected methods only (the Eclipse plugin instruments the
-/// whole project; selective instrumentation is useful for overhead
-/// experiments).
-pub fn instrument_methods(program: &mut Program, methods: &[MethodId]) -> usize {
-    let mut probes = 0;
-    for &mid in methods {
-        probes += instrument_method(program, mid);
-    }
-    probes
-}
-
 fn instrument_method(program: &mut Program, mid: MethodId) -> usize {
     let code = &program.methods[mid as usize].code;
     if code.iter().any(|op| matches!(op, Op::ProfileEnter(_))) {
@@ -162,7 +151,7 @@ mod tests {
         let sim = std::sync::Arc::new(jepo_rapl::SimulatedRapl::new(
             jepo_rapl::DeviceProfile::laptop_i5_3317u(),
         ));
-        let mut interp = crate::interp::Interp::new(&p, crate::EnergySettings::default(), sim);
+        let mut interp = crate::interp::Interp::new(&p, sim);
         interp.run_clinits().unwrap();
         interp
             .run_method(p.main.unwrap(), vec![crate::Value::Null])
@@ -186,7 +175,7 @@ mod tests {
         let sim = std::sync::Arc::new(jepo_rapl::SimulatedRapl::new(
             jepo_rapl::DeviceProfile::laptop_i5_3317u(),
         ));
-        let mut interp = crate::interp::Interp::new(&p, crate::EnergySettings::default(), sim);
+        let mut interp = crate::interp::Interp::new(&p, sim);
         interp.run_clinits().unwrap();
         interp
             .run_method(p.main.unwrap(), vec![crate::Value::Null])

@@ -10,13 +10,13 @@
 
 use crate::class::{ClassId, MethodId, Program};
 use crate::decode::{DInstr, DOp, DecodedProgram, InlineCache, Sym, NO_CLASS};
-use crate::energy::{self, EnergySettings};
+use crate::energy::{self, LatencyModel};
 use crate::heap::{CacheModel, Heap, HeapObj};
 use crate::opcode::{ArithOp, ArrayElem, CmpOp, MathFn, NumTy, Op};
 use crate::sampling::{SampleSet, SamplingConfig, SamplingState, SAMPLE_BASE_CHARGES};
 use crate::value::{Ref, Value};
 use crate::VmError;
-use jepo_rapl::{OpCategory, Scoreboard, SimulatedRapl};
+use jepo_rapl::{CostModel, OpCategory, Scoreboard, SimulatedRapl};
 use std::sync::Arc;
 
 /// Upper bound on pooled (recycled) frames — enough for the corpus call
@@ -126,7 +126,10 @@ pub struct Interp<'p> {
     pub(crate) heap: Heap,
     pub(crate) statics: Vec<Value>,
     cache: CacheModel,
-    settings: EnergySettings,
+    /// Joules per op category: the paper-calibrated cost model.
+    cost: CostModel,
+    /// Nanoseconds per op category, paired with `cost`.
+    latency: LatencyModel,
     sim: Arc<SimulatedRapl>,
     /// Local scoreboard (same batched-accounting type the ML kernel
     /// uses): per-instruction charges are plain adds here, converted to
@@ -159,7 +162,7 @@ pub struct Interp<'p> {
 
 impl<'p> Interp<'p> {
     /// New interpreter over a program, reporting to `sim`.
-    pub fn new(program: &'p Program, settings: EnergySettings, sim: Arc<SimulatedRapl>) -> Self {
+    pub fn new(program: &'p Program, sim: Arc<SimulatedRapl>) -> Self {
         let statics = program
             .statics
             .iter()
@@ -181,7 +184,8 @@ impl<'p> Interp<'p> {
             heap: Heap::new(),
             statics,
             cache: CacheModel::default(),
-            settings,
+            cost: CostModel::paper_calibrated(),
+            latency: LatencyModel::paper_calibrated(),
             sim,
             board: Scoreboard::new(),
             cats,
@@ -249,8 +253,8 @@ impl<'p> Interp<'p> {
             // to the scoreboard, and account it exactly for calibration.
             let walk = SAMPLE_BASE_CHARGES + depth;
             self.board.bump_n(OpCategory::Load, walk);
-            let nj = self.settings.cost.nanojoules(OpCategory::Load);
-            let ns = self.settings.latency.nanos(OpCategory::Load);
+            let nj = self.cost.nanojoules(OpCategory::Load);
+            let ns = self.latency.nanos(OpCategory::Load);
             st.set.calibration_j += walk as f64 * nj * 1e-9;
             st.set.calibration_s += walk as f64 * ns * 1e-9;
         }
@@ -281,8 +285,8 @@ impl<'p> Interp<'p> {
         for (i, n) in self.board.counts().into_iter().enumerate() {
             if n > 0 {
                 let c = OpCategory::ALL[i];
-                j += n as f64 * self.settings.cost.nanojoules(c) * 1e-9;
-                s += n as f64 * self.settings.latency.nanos(c) * 1e-9;
+                j += n as f64 * self.cost.nanojoules(c) * 1e-9;
+                s += n as f64 * self.latency.nanos(c) * 1e-9;
             }
         }
         let pkg = self.flushed_j + j;
@@ -298,8 +302,8 @@ impl<'p> Interp<'p> {
         for (i, n) in self.board.drain().into_iter().enumerate() {
             if n > 0 {
                 let c = OpCategory::ALL[i];
-                j += n as f64 * self.settings.cost.nanojoules(c) * 1e-9;
-                s += n as f64 * self.settings.latency.nanos(c) * 1e-9;
+                j += n as f64 * self.cost.nanojoules(c) * 1e-9;
+                s += n as f64 * self.latency.nanos(c) * 1e-9;
             }
         }
         self.sim.add_dynamic_energy(j);
@@ -1416,12 +1420,8 @@ impl<'p> Interp<'p> {
     }
 
     pub(crate) fn cache_access(&mut self, addr: u64) {
-        if self.settings.cache_enabled {
-            let hit = self.cache.access(addr);
-            self.charge(energy::array_access_extra(hit));
-        } else {
-            self.charge(OpCategory::Load);
-        }
+        let hit = self.cache.access(addr);
+        self.charge(energy::array_access_extra(hit));
     }
 
     // ---- arithmetic -------------------------------------------------------
@@ -2007,7 +2007,7 @@ mod tests {
     fn run(src: &str) -> RunOutcome {
         let program = compile_source(src).unwrap_or_else(|e| panic!("{e}"));
         let sim = Arc::new(SimulatedRapl::new(DeviceProfile::laptop_i5_3317u()));
-        let mut interp = Interp::new(&program, EnergySettings::default(), sim);
+        let mut interp = Interp::new(&program, sim);
         interp.run_clinits().unwrap();
         let main = program.main.expect("needs main");
         let args = vec![Value::Null];
@@ -2219,7 +2219,7 @@ mod tests {
         )
         .unwrap();
         let sim = Arc::new(SimulatedRapl::new(DeviceProfile::laptop_i5_3317u()));
-        let mut interp = Interp::new(&program, EnergySettings::default(), sim);
+        let mut interp = Interp::new(&program, sim);
         let err = interp
             .run_method(program.main.unwrap(), vec![Value::Null])
             .unwrap_err();
@@ -2295,7 +2295,7 @@ mod tests {
             compile_source("class M { public static void main(String[] a) { while (true) { } } }")
                 .unwrap();
         let sim = Arc::new(SimulatedRapl::new(DeviceProfile::laptop_i5_3317u()));
-        let mut interp = Interp::new(&program, EnergySettings::default(), sim);
+        let mut interp = Interp::new(&program, sim);
         interp.set_fuel(10_000);
         let err = interp
             .run_method(program.main.unwrap(), vec![Value::Null])

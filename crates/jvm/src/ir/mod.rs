@@ -3,7 +3,7 @@
 //! Each [`DecodedProgram`] method is lowered into a register-based IR
 //! with explicit basic blocks, then optimized by real passes (constant
 //! folding and copy propagation during lowering, dead-code elimination
-//! and loop-invariant hoisting in [`passes`], inlining of small
+//! and loop-invariant hoisting in `passes`, inlining of small
 //! straight-line callees, and CHA devirtualization of monomorphic
 //! virtual-call sites). The tier exists purely for speed: every paper
 //! observable — stdout, op counts, cache statistics, energy f64 bits,

@@ -59,7 +59,7 @@ pub mod vm;
 pub use class::{ClassId, MethodId, Program};
 pub use compiler::compile_project;
 pub use decode::{decode, DecodedProgram};
-pub use energy::{EnergySettings, LatencyModel};
+pub use energy::LatencyModel;
 pub use error::VmError;
 pub use instrument::instrument_all;
 pub use interp::{Interp, RunOutcome};

@@ -9,8 +9,8 @@
 //! whenever the interpreter's **virtual clock** crosses a configurable
 //! interval boundary. Each interval's energy delta is attributed to the
 //! stack observed at the interval's end (self = leaf frame, inclusive =
-//! every unique method on the stack, folding recursion exactly like the
-//! span flamegraph view folds repeated frames).
+//! every unique method on the stack, so recursion counts a method once
+//! per sample).
 //!
 //! Because the pacing clock is the deterministic virtual clock (not wall
 //! time), sampled attribution is bit-identical across runs, `--jobs`

@@ -28,11 +28,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Zero/default value for a slot of unknown type.
-    pub const fn default_for_slot() -> Value {
-        Value::Null
-    }
-
     /// As `i32`, widening char/bool as the JVM does.
     pub fn as_int(&self) -> Option<i32> {
         match self {
@@ -78,29 +73,10 @@ impl Value {
         }
     }
 
-    /// As heap reference.
-    pub fn as_ref(&self) -> Option<Ref> {
-        match self {
-            Value::Obj(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    /// Java-style `toString` rendering for println and concatenation of
-    /// primitives (heap values are rendered by the interpreter, which can
-    /// see the heap).
-    pub fn render_primitive(&self) -> Option<String> {
-        let mut out = String::new();
-        self.render_primitive_to(&mut out).then_some(out)
-    }
-
-    /// Buffer-writing form of [`Value::render_primitive`]; returns
-    /// `false` (writing nothing) for heap references.
+    /// Java-style `toString` rendering of a primitive, appended to `out`,
+    /// for println and concatenation. Returns `false` (writing nothing)
+    /// for heap references, which the interpreter renders since it can
+    /// see the heap.
     pub fn render_primitive_to(&self, out: &mut String) -> bool {
         use std::fmt::Write as _;
         match self {
@@ -123,14 +99,8 @@ impl Value {
     }
 }
 
-/// Render a double roughly the way Java does (`5.0`, not `5`).
-pub fn format_float(v: f64) -> String {
-    let mut out = String::new();
-    format_float_to(v, &mut out);
-    out
-}
-
-/// Buffer-writing form of [`format_float`].
+/// Render a double roughly the way Java does (`5.0`, not `5`), appended
+/// to `out`.
 pub fn format_float_to(v: f64, out: &mut String) {
     use std::fmt::Write as _;
     if v.is_nan() {
@@ -169,15 +139,26 @@ mod tests {
         assert_eq!(Value::Double(1.0).as_bool(), None);
     }
 
+    fn render(v: Value) -> Option<String> {
+        let mut out = String::new();
+        v.render_primitive_to(&mut out).then_some(out)
+    }
+
+    fn format_float(v: f64) -> String {
+        let mut out = String::new();
+        format_float_to(v, &mut out);
+        out
+    }
+
     #[test]
     fn render_matches_java_conventions() {
-        assert_eq!(Value::Double(5.0).render_primitive().unwrap(), "5.0");
-        assert_eq!(Value::Double(2.5).render_primitive().unwrap(), "2.5");
-        assert_eq!(Value::Int(-3).render_primitive().unwrap(), "-3");
-        assert_eq!(Value::Bool(false).render_primitive().unwrap(), "false");
-        assert_eq!(Value::Char(65).render_primitive().unwrap(), "A");
-        assert_eq!(Value::Null.render_primitive().unwrap(), "null");
-        assert!(Value::Obj(0).render_primitive().is_none());
+        assert_eq!(render(Value::Double(5.0)).unwrap(), "5.0");
+        assert_eq!(render(Value::Double(2.5)).unwrap(), "2.5");
+        assert_eq!(render(Value::Int(-3)).unwrap(), "-3");
+        assert_eq!(render(Value::Bool(false)).unwrap(), "false");
+        assert_eq!(render(Value::Char(65)).unwrap(), "A");
+        assert_eq!(render(Value::Null).unwrap(), "null");
+        assert!(render(Value::Obj(0)).is_none());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::class::Program;
 use crate::compiler;
 use crate::decode::{self, DecodedProgram};
-use crate::energy::EnergySettings;
 use crate::instrument;
 use crate::interp::{Interp, ProfileEvent, RunOutcome};
 use crate::sampling::{self, SampleSet, SampledMethodRecord, SamplingConfig};
@@ -57,9 +56,7 @@ pub enum Dispatch {
 pub struct Vm {
     program: Program,
     sim: Arc<SimulatedRapl>,
-    settings: EnergySettings,
     fuel: u64,
-    instrumented: bool,
     dispatch: Dispatch,
     /// Lazily built pre-decoded form; invalidated when the program's
     /// bytecode changes (instrumentation). `Arc` so a long-lived
@@ -89,9 +86,7 @@ impl Vm {
         Vm {
             program,
             sim: Arc::new(SimulatedRapl::new(DeviceProfile::laptop_i5_3317u())),
-            settings: EnergySettings::default(),
             fuel: 50_000_000_000,
-            instrumented: false,
             dispatch: Dispatch::default(),
             decoded: None,
             ir: None,
@@ -103,19 +98,19 @@ impl Vm {
     /// shared execution forms — the profiling-as-a-service hot path.
     ///
     /// Contract: `decoded` (and `ir`, when given) must have been built
-    /// from exactly this `program` bytes (same instrumentation state,
-    /// flagged by `instrumented`); [`Vm::shared_forms`] on a throwaway
-    /// VM of the same program is the supported producer. A later
-    /// [`Vm::instrument`] call invalidates the shared forms and falls
-    /// back to a private rebuild.
+    /// from exactly this `program` bytes, in the same instrumentation
+    /// state; [`Vm::shared_forms`] on a throwaway VM of the same program
+    /// is the supported producer. A later [`Vm::instrument`] call
+    /// invalidates the shared forms and falls back to a private rebuild.
+    /// `_instrumented` is the caller's record of that state; the VM reads
+    /// the probes from the bytecode itself and does not consult it.
     pub fn from_prepared(
         program: Program,
         decoded: Option<Arc<DecodedProgram>>,
         ir: Option<Arc<crate::ir::IrProgram>>,
-        instrumented: bool,
+        _instrumented: bool,
     ) -> Vm {
         let mut vm = Vm::new(program);
-        vm.instrumented = instrumented;
         vm.decoded = decoded;
         vm.ir = ir;
         vm
@@ -142,20 +137,9 @@ impl Vm {
         self
     }
 
-    /// The active execution engine.
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
     /// Use a different device profile (edge-device sweeps).
     pub fn with_device(mut self, profile: DeviceProfile) -> Vm {
         self.sim = Arc::new(SimulatedRapl::new(profile));
-        self
-    }
-
-    /// Use custom energy settings (ablations).
-    pub fn with_settings(mut self, settings: EnergySettings) -> Vm {
-        self.settings = settings;
         self
     }
 
@@ -175,7 +159,6 @@ impl Vm {
 
     /// Inject profiler probes into every method (idempotent).
     pub fn instrument(&mut self) -> usize {
-        self.instrumented = true;
         self.decoded = None; // bytecode changed: decoded form is stale
         self.ir = None; // ditto for the IR built from it
         instrument::instrument_all(&mut self.program)
@@ -194,11 +177,6 @@ impl Vm {
             let dp = self.decoded.as_ref().expect("decoded just built");
             self.ir = Some(Arc::new(crate::ir::compile(&self.program, dp)));
         }
-    }
-
-    /// Whether probes are injected.
-    pub fn is_instrumented(&self) -> bool {
-        self.instrumented
     }
 
     /// The compiled program.
@@ -234,24 +212,6 @@ impl Vm {
         self.run_entry(main, vec![Value::Null])
     }
 
-    /// Run a specific static method of a class with the given arguments.
-    pub fn run_static(
-        &mut self,
-        class: &str,
-        method: &str,
-        args: Vec<Value>,
-    ) -> Result<RunOutcome, VmError> {
-        let cid = self
-            .program
-            .class_by_name(class)
-            .ok_or_else(|| VmError::NoMain(format!("no class `{class}`")))?;
-        let mid = self
-            .program
-            .resolve_method(cid, method, args.len() as u8)
-            .ok_or_else(|| VmError::NoMain(format!("no method `{class}.{method}`")))?;
-        self.run_entry(mid, args)
-    }
-
     /// Run the class initializers, then `entry`, on the engine the
     /// dispatch names: the decoded form only off Legacy, the IR form
     /// only under [`Dispatch::Ir`].
@@ -259,7 +219,7 @@ impl Vm {
         self.ensure_decoded();
         let _probe = self.bind_trace_probe();
         let _run = jepo_trace::span("vm/run");
-        let mut interp = Interp::new(&self.program, self.settings.clone(), self.sim.clone());
+        let mut interp = Interp::new(&self.program, self.sim.clone());
         let (decoded, ir) = match self.dispatch {
             Dispatch::Legacy => (None, None),
             Dispatch::Decoded => (self.decoded.as_deref(), None),
@@ -351,17 +311,6 @@ mod tests {
     fn no_main_is_reported() {
         let mut vm = Vm::from_source("class A { void f() { } }").unwrap();
         assert!(matches!(vm.run_main(), Err(VmError::NoMain(_))));
-    }
-
-    #[test]
-    fn run_static_entry_point() {
-        let mut vm =
-            Vm::from_source("class Calc { static int add(int a, int b) { return a + b; } }")
-                .unwrap();
-        let out = vm
-            .run_static("Calc", "add", vec![Value::Int(20), Value::Int(22)])
-            .unwrap();
-        assert_eq!(out.ret, Some(Value::Int(42)));
     }
 
     #[test]

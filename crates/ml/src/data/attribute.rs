@@ -56,22 +56,6 @@ impl Attribute {
         }
     }
 
-    /// Label for a stored value (nominal only).
-    pub fn label(&self, value: f64) -> Option<&str> {
-        match &self.kind {
-            AttributeKind::Nominal(l) => l.get(value as usize).map(|s| s.as_str()),
-            AttributeKind::Numeric => None,
-        }
-    }
-
-    /// Index of a label.
-    pub fn index_of(&self, label: &str) -> Option<usize> {
-        match &self.kind {
-            AttributeKind::Nominal(l) => l.iter().position(|s| s == label),
-            AttributeKind::Numeric => None,
-        }
-    }
-
     /// Type name as Table III prints it.
     pub fn type_name(&self) -> &'static str {
         match &self.kind {
@@ -93,9 +77,6 @@ mod tests {
         assert_eq!(n.cardinality(), 0);
         let a = Attribute::nominal("Airline", &["AA", "UA"]);
         assert_eq!(a.cardinality(), 2);
-        assert_eq!(a.label(1.0), Some("UA"));
-        assert_eq!(a.index_of("AA"), Some(0));
-        assert_eq!(a.index_of("ZZ"), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// label indices; missing values as `NaN`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
-    /// Relation name (ARFF `@relation`).
+    /// Relation name, as WEKA calls a dataset.
     pub relation: String,
     /// Attribute schema, class attribute included.
     pub attributes: Vec<Attribute>,

@@ -1,7 +1,7 @@
-//! Datasets, attributes, ARFF I/O, and the airlines generator.
+//! Datasets, attributes, and the airlines generator — the only source
+//! of datasets: nothing reads or writes dataset files.
 
 pub mod airlines;
-pub mod arff;
 pub mod attribute;
 pub mod dataset;
 

@@ -5,7 +5,7 @@ use std::fmt;
 /// Errors from dataset handling or training.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MlError {
-    /// Malformed ARFF or generator input.
+    /// An instance that does not fit its dataset's schema.
     Data(String),
     /// Training cannot proceed (empty dataset, missing class…).
     Train(String),

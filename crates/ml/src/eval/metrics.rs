@@ -54,37 +54,6 @@ impl Evaluation {
             self.correct() as f64 / t as f64
         }
     }
-
-    /// Recall for one class.
-    pub fn recall(&self, class: usize) -> f64 {
-        let row: u64 = self.confusion[class].iter().sum();
-        if row == 0 {
-            0.0
-        } else {
-            self.confusion[class][class] as f64 / row as f64
-        }
-    }
-
-    /// Precision for one class.
-    pub fn precision(&self, class: usize) -> f64 {
-        let col: u64 = self.confusion.iter().map(|r| r[class]).sum();
-        if col == 0 {
-            0.0
-        } else {
-            self.confusion[class][class] as f64 / col as f64
-        }
-    }
-
-    /// F1 for one class.
-    pub fn f1(&self, class: usize) -> f64 {
-        let p = self.precision(class);
-        let r = self.recall(class);
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +61,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accuracy_and_per_class_metrics() {
+    fn accuracy_counts_the_confusion_diagonal() {
         let mut e = Evaluation::new(2);
         // 3 true negatives, 1 false positive, 1 false negative, 5 TP.
         for _ in 0..3 {
@@ -106,9 +75,6 @@ mod tests {
         assert_eq!(e.total(), 10);
         assert_eq!(e.correct(), 8);
         assert!((e.accuracy() - 0.8).abs() < 1e-12);
-        assert!((e.recall(1) - 5.0 / 6.0).abs() < 1e-12);
-        assert!((e.precision(1) - 5.0 / 6.0).abs() < 1e-12);
-        assert!(e.f1(1) > 0.8);
     }
 
     #[test]
@@ -126,7 +92,5 @@ mod tests {
     fn empty_evaluation_is_zero() {
         let e = Evaluation::new(3);
         assert_eq!(e.accuracy(), 0.0);
-        assert_eq!(e.recall(0), 0.0);
-        assert_eq!(e.precision(2), 0.0);
     }
 }

@@ -5,10 +5,10 @@
 //! cross-validation (§VIII, Tables II–IV). This crate reimplements that
 //! substrate from scratch:
 //!
-//! * [`data`] — attributes (nominal/numeric/binary), datasets, ARFF
-//!   reading/writing, and a deterministic generator reproducing the MOA
-//!   airlines schema of Table III (8 attributes, 18 airlines, 293
-//!   airports, binary delay label).
+//! * [`data`] — attributes (nominal/numeric/binary), datasets, and a
+//!   deterministic generator reproducing the MOA airlines schema of
+//!   Table III (8 attributes, 18 airlines, 293 airports, binary delay
+//!   label), the source of every dataset.
 //! * [`classifiers`] — the ten classifiers of Table II: J48 (C4.5),
 //!   RandomTree, RandomForest, REPTree, NaiveBayes, ridge Logistic,
 //!   SMO (Platt's sequential minimal optimization), SGD, KStar, and IBk.

@@ -489,19 +489,6 @@ impl Kernel {
         }
     }
 
-    /// Compare two label strings for equality — `compareTo` in baseline
-    /// WEKA, `equals` after the suggestion.
-    #[inline]
-    pub fn labels_equal(&self, a: &str, b: &str) -> bool {
-        if self.profile.compare_to {
-            self.board.bump(OpCategory::StringCompareTo);
-            a.cmp(b) == std::cmp::Ordering::Equal
-        } else {
-            self.board.bump(OpCategory::StringEquals);
-            a == b
-        }
-    }
-
     /// Numeric select: ternary-style under baseline, branch after the
     /// suggestion.
     #[inline]
@@ -645,7 +632,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_and_select_and_labels_work_identically() {
+    fn hash_and_select_work_identically() {
         let base = Kernel::new(EfficiencyProfile::baseline());
         let opt = Kernel::new(EfficiencyProfile::optimized());
         for h in [0u64, 7, 63, 64, 1000] {
@@ -653,8 +640,6 @@ mod tests {
         }
         assert_eq!(base.select(true, 1.0, 2.0), 1.0);
         assert_eq!(opt.select(false, 1.0, 2.0), 2.0);
-        assert!(base.labels_equal("yes", "yes"));
-        assert!(!opt.labels_equal("yes", "no"));
     }
 
     #[test]

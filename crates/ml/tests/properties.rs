@@ -1,8 +1,8 @@
-//! Property tests over the ML substrate: ARFF round-trips, fold
-//! invariants, and classifier sanity on generated datasets.
+//! Property tests over the ML substrate: fold invariants and classifier
+//! sanity on generated datasets.
 
 use jepo_ml::classifiers::{by_name, Classifier, CLASSIFIER_NAMES};
-use jepo_ml::data::{arff, Attribute, Dataset};
+use jepo_ml::data::{Attribute, Dataset};
 use jepo_ml::eval::crossval::stratified_folds;
 use jepo_ml::Kernel;
 use proptest::prelude::*;
@@ -46,20 +46,6 @@ fn small_dataset() -> impl Strategy<Value = Dataset> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// ARFF write → parse is the identity on schema and values.
-    #[test]
-    fn arff_roundtrip(d in small_dataset()) {
-        let text = arff::write(&d);
-        let back = arff::parse(&text).unwrap();
-        prop_assert_eq!(&d.attributes, &back.attributes);
-        prop_assert_eq!(d.len(), back.len());
-        for (a, b) in d.instances.iter().zip(&back.instances) {
-            for (x, y) in a.iter().zip(b) {
-                prop_assert!((x - y).abs() < 1e-9, "{} vs {}", x, y);
-            }
-        }
-    }
 
     /// Stratified folds partition all instances and keep fold sizes
     /// within two of each other.

@@ -14,7 +14,7 @@
 //! chunking would.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Resolve a requested job count: `0` means "use the `JEPO_JOBS`
@@ -260,47 +260,108 @@ impl std::fmt::Display for SubmitError {
 /// a `TaskPool` accepts independent fire-and-forget jobs over time.
 /// Two properties matter for a daemon:
 ///
-/// * **Admission control.** The queue holds at most `queue_depth`
-///   jobs beyond the ones workers are executing; [`TaskPool::try_submit`]
-///   returns [`SubmitError::Full`] instead of blocking or buffering
-///   without bound, so overload is shed at the front door.
+/// * **Admission control.** A job is admitted while the jobs waiting
+///   to start number fewer than the idle workers plus `queue_depth`;
+///   otherwise [`TaskPool::try_submit`] returns [`SubmitError::Full`]
+///   instead of blocking or buffering without bound, so overload is
+///   shed at the front door.
 /// * **Graceful drain.** [`TaskPool::shutdown_drain`] closes the
 ///   queue, lets workers finish every job already accepted, and joins
 ///   them — an accepted job is never dropped.
 pub struct TaskPool {
+    /// Carries admitted jobs to the workers. Its capacity, the workers
+    /// plus `queue_depth`, never binds: admission refuses work first.
+    /// `None` once the drain began.
     tx: Option<std::sync::mpsc::SyncSender<Job>>,
+    admission: Arc<Admission>,
     workers: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// The counts admission decides on, shared with the workers.
+struct Admission {
+    counts: Mutex<Counts>,
+    /// Wakes [`TaskPool::new`] as each worker first waits for a job.
+    started: Condvar,
+    queue_depth: usize,
+}
+
+#[derive(Default)]
+struct Counts {
+    /// Workers waiting for a job.
+    idle: usize,
+    /// Admitted jobs no worker has taken yet.
+    pending: usize,
+}
+
+impl Admission {
+    /// Lock the counts. Every update leaves them consistent and no job
+    /// runs under the lock, so a poisoned lock still holds valid counts.
+    fn lock(&self) -> MutexGuard<'_, Counts> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Worker body: wait for a job (counted idle meanwhile), run it,
+    /// repeat; return once the sender is gone and the queue drained.
+    fn work_loop(&self, rx: &Mutex<std::sync::mpsc::Receiver<Job>>) {
+        let mut first_wait = true;
+        loop {
+            {
+                let mut counts = self.lock();
+                counts.idle += 1;
+                if first_wait {
+                    first_wait = false;
+                    self.started.notify_all();
+                }
+            }
+            // Hold the receiver lock only for the dequeue, never while
+            // running the job.
+            let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+            let mut counts = self.lock();
+            counts.idle -= 1;
+            match job {
+                Ok(job) => {
+                    counts.pending -= 1;
+                    drop(counts);
+                    job();
+                }
+                Err(_) => return,
+            }
+        }
+    }
 }
 
 impl TaskPool {
     /// Pool with `workers` threads (`0` = one per core via
-    /// [`effective_jobs`]) and a queue of at most `queue_depth`
-    /// pending jobs. `queue_depth` of 0 is a rendezvous: a submit is
-    /// admitted only when a worker is ready to take it immediately.
+    /// [`effective_jobs`]) and room for `queue_depth` waiting jobs
+    /// beyond the idle workers. With `queue_depth` 0 a submit is
+    /// admitted only when a worker is idle to take it. Returns once
+    /// every worker waits for work, so the first submit finds them idle.
     pub fn new(workers: usize, queue_depth: usize) -> TaskPool {
         let workers = effective_jobs(workers);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(queue_depth);
-        let rx = std::sync::Arc::new(Mutex::new(rx));
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(workers + queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
+        let admission = Arc::new(Admission {
+            counts: Mutex::new(Counts::default()),
+            started: Condvar::new(),
+            queue_depth,
+        });
         let handles = (0..workers)
             .map(|_| {
-                let rx = std::sync::Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    // Hold the lock only for the dequeue, never while
-                    // running the job.
-                    let job = match rx.lock() {
-                        Ok(guard) => guard.recv(),
-                        Err(_) => return, // a job panicked mid-recv elsewhere
-                    };
-                    match job {
-                        Ok(job) => job(),
-                        // Sender dropped and queue drained: clean exit.
-                        Err(_) => return,
-                    }
-                })
+                let (admission, rx) = (Arc::clone(&admission), Arc::clone(&rx));
+                std::thread::spawn(move || admission.work_loop(&rx))
             })
             .collect();
+        let mut counts = admission.lock();
+        while counts.idle < workers {
+            counts = admission
+                .started
+                .wait(counts)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(counts);
         TaskPool {
             tx: Some(tx),
+            admission,
             workers: handles,
         }
     }
@@ -310,18 +371,26 @@ impl TaskPool {
         self.workers.len()
     }
 
-    /// Submit a job without blocking. `Err(Full)` when the bounded
-    /// queue is at capacity, `Err(ShuttingDown)` after
+    /// Submit a job without blocking. `Err(Full)` when no idle worker
+    /// and no queue slot is left, `Err(ShuttingDown)` after
     /// [`TaskPool::shutdown_drain`] began.
     pub fn try_submit<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), SubmitError> {
-        use std::sync::mpsc::TrySendError;
         let Some(tx) = self.tx.as_ref() else {
             return Err(SubmitError::ShuttingDown);
         };
-        tx.try_send(Box::new(job)).map_err(|e| match e {
-            TrySendError::Full(_) => SubmitError::Full,
-            TrySendError::Disconnected(_) => SubmitError::ShuttingDown,
-        })
+        {
+            let mut counts = self.admission.lock();
+            if counts.pending >= counts.idle + self.admission.queue_depth {
+                return Err(SubmitError::Full);
+            }
+            counts.pending += 1;
+        }
+        if tx.try_send(Box::new(job)).is_err() {
+            // Every worker has exited: nothing would ever take the job.
+            self.admission.lock().pending -= 1;
+            return Err(SubmitError::ShuttingDown);
+        }
+        Ok(())
     }
 
     /// Stop accepting work, let the workers drain every queued job,

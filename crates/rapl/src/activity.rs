@@ -235,12 +235,6 @@ impl CostModel {
         self.nanojoules[cat.index()]
     }
 
-    /// Override one category's cost (for calibration sweeps).
-    pub fn set_nanojoules(&mut self, cat: OpCategory, nj: f64) {
-        assert!(nj >= 0.0);
-        self.nanojoules[cat.index()] = nj;
-    }
-
     /// Joules for a full counter snapshot.
     pub fn joules_for(&self, counts: &OpSnapshot) -> f64 {
         OpCategory::ALL
@@ -277,15 +271,6 @@ impl OpSnapshot {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
-    }
-
-    /// Per-category difference `self - earlier` (saturating).
-    pub fn delta_since(&self, earlier: &OpSnapshot) -> OpSnapshot {
-        let counts = OpCategory::ALL
-            .iter()
-            .map(|&c| self.get(c).saturating_sub(earlier.get(c)))
-            .collect();
-        OpSnapshot { counts }
     }
 
     /// Iterate non-zero categories.
@@ -484,15 +469,6 @@ impl OpCounter {
         }
         OpSnapshot { counts }
     }
-
-    /// Convert current counts to joules under `model`, reset the counter,
-    /// and report the energy to `sim`. Returns the joules flushed.
-    pub fn flush_to(&self, model: &CostModel, sim: &crate::SimulatedRapl) -> f64 {
-        let snap = self.take();
-        let joules = model.joules_for(&snap);
-        sim.add_dynamic_energy(joules);
-        joules
-    }
 }
 
 #[cfg(test)]
@@ -553,30 +529,6 @@ mod tests {
         ctr.incr(OpCategory::Call);
         let snap = ctr.take();
         assert_eq!(snap.get(OpCategory::Call), 1);
-        assert_eq!(ctr.snapshot().total_ops(), 0);
-    }
-
-    #[test]
-    fn delta_since_subtracts() {
-        let ctr = OpCounter::new();
-        ctr.add(OpCategory::Branch, 10);
-        let early = ctr.snapshot();
-        ctr.add(OpCategory::Branch, 5);
-        ctr.add(OpCategory::Store, 2);
-        let d = ctr.snapshot().delta_since(&early);
-        assert_eq!(d.get(OpCategory::Branch), 5);
-        assert_eq!(d.get(OpCategory::Store), 2);
-    }
-
-    #[test]
-    fn flush_reports_to_simulator() {
-        let sim = crate::SimulatedRapl::new(crate::DeviceProfile::laptop_i5_3317u());
-        let m = CostModel::paper_calibrated();
-        let ctr = OpCounter::new();
-        ctr.add(OpCategory::IntAlu, 1_000_000_000); // 1e9 ops × 1 nJ = 1 J
-        let j = ctr.flush_to(&m, &sim);
-        assert!((j - 1.0).abs() < 1e-9);
-        assert!((sim.read_joules(crate::Domain::Package) - 1.0).abs() < 1e-9);
         assert_eq!(ctr.snapshot().total_ops(), 0);
     }
 

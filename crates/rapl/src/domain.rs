@@ -46,17 +46,6 @@ impl Domain {
     /// i5-3317U: package, core, uncore. DRAM RAPL is not exposed there.
     pub const CLIENT: [Domain; 3] = [Domain::Package, Domain::Core, Domain::Uncore];
 
-    /// Human-readable name matching the `powercap` sysfs naming.
-    pub fn sysfs_name(self) -> &'static str {
-        match self {
-            Domain::Package => "package-0",
-            Domain::Core => "core",
-            Domain::Uncore => "uncore",
-            Domain::Dram => "dram",
-            Domain::Psys => "psys",
-        }
-    }
-
     /// The MSR holding this domain's energy-status counter.
     pub fn energy_status_msr(self) -> u32 {
         match self {
@@ -117,9 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn display_and_sysfs_names_are_stable() {
+    fn display_names_are_stable() {
         assert_eq!(Domain::Package.to_string(), "package");
-        assert_eq!(Domain::Package.sysfs_name(), "package-0");
-        assert_eq!(Domain::Core.sysfs_name(), "core");
+        assert_eq!(Domain::Core.to_string(), "core");
     }
 }

@@ -1,8 +1,8 @@
-//! Error type shared by all RAPL backends.
+//! Error type of the simulated RAPL device.
 
 use std::fmt;
 
-/// Errors produced while accessing RAPL state (simulated or real).
+/// Errors produced while reading the simulated RAPL registers.
 #[derive(Debug)]
 pub enum RaplError {
     /// The requested MSR address is not part of the RAPL register map.
@@ -10,13 +10,6 @@ pub enum RaplError {
     /// The requested domain is not supported by this device
     /// (e.g. PSys on pre-Skylake parts, PP1 on servers).
     UnsupportedDomain(crate::Domain),
-    /// A hardware backend could not be opened (missing `/dev/cpu/*/msr`,
-    /// missing powercap sysfs tree, or insufficient privileges).
-    BackendUnavailable(String),
-    /// An I/O error while talking to a hardware backend.
-    Io(std::io::Error),
-    /// A value read from hardware or a config file failed validation.
-    Malformed(String),
 }
 
 impl fmt::Display for RaplError {
@@ -28,29 +21,11 @@ impl fmt::Display for RaplError {
             RaplError::UnsupportedDomain(d) => {
                 write!(f, "RAPL domain {d:?} not supported by this device")
             }
-            RaplError::BackendUnavailable(why) => {
-                write!(f, "RAPL backend unavailable: {why}")
-            }
-            RaplError::Io(e) => write!(f, "RAPL I/O error: {e}"),
-            RaplError::Malformed(why) => write!(f, "malformed RAPL value: {why}"),
         }
     }
 }
 
-impl std::error::Error for RaplError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RaplError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for RaplError {
-    fn from(e: std::io::Error) -> Self {
-        RaplError::Io(e)
-    }
-}
+impl std::error::Error for RaplError {}
 
 #[cfg(test)]
 mod tests {
@@ -61,18 +36,9 @@ mod tests {
         let variants: Vec<RaplError> = vec![
             RaplError::UnknownRegister(0x611),
             RaplError::UnsupportedDomain(crate::Domain::Psys),
-            RaplError::BackendUnavailable("no msr module".into()),
-            RaplError::Io(std::io::Error::other("x")),
-            RaplError::Malformed("bad unit field".into()),
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn io_error_preserves_source() {
-        let e = RaplError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
-        assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -8,17 +8,14 @@
 //!
 //! 1. **Register level** ([`msr`], [`units`], [`counter`]) — the RAPL MSR
 //!    address map, the `MSR_RAPL_POWER_UNIT` bit-field decoding, and the
-//!    32-bit wrapping energy-status counters, bit-accurate to the Intel SDM
-//!    so that code written against real MSRs works unchanged against the
-//!    simulator.
-//! 2. **Device level** ([`sim`], [`hw`], [`power`]) — a simulated RAPL
-//!    package driven by an activity-based power model, plus best-effort
-//!    real backends (`/sys/class/powercap`, `/dev/cpu/*/msr`) used when the
-//!    host actually exposes RAPL.
-//! 3. **Measurement level** ([`meter`], [`activity`], [`perf`]) — the
-//!    `EnergyMeter` abstraction the profiler consumes, the operation-count
-//!    cost model that converts instrumented work into joules, and a
-//!    `perf stat`-style repeated-measurement harness.
+//!    32-bit wrapping energy-status counters, bit-accurate to the Intel SDM.
+//! 2. **Device level** ([`sim`], [`power`]) — a simulated RAPL package
+//!    driven by an activity-based power model. It is the only energy
+//!    source: nothing in the workspace reads real RAPL counters.
+//! 3. **Measurement level** ([`probe`], [`activity`], [`meter`]) — the
+//!    wrap-correct [`CounterProbe`] that spans and profiler probes read
+//!    through, the operation-count cost model that converts instrumented
+//!    work into joules, and the per-interval [`Measurement`] record.
 //!
 //! ## Why a simulator?
 //!
@@ -36,11 +33,10 @@
 //!
 //! ```
 //! use jepo_rapl::{SimulatedRapl, Domain, power::DeviceProfile};
-//! use std::time::Duration;
 //!
 //! let rapl = SimulatedRapl::new(DeviceProfile::laptop_i5_3317u());
 //! let before = rapl.read_joules(Domain::Package);
-//! rapl.advance_time(Duration::from_millis(100)); // idle power accrues
+//! rapl.advance_seconds(0.1);                     // idle power accrues
 //! rapl.add_dynamic_energy(0.5);                  // work performed
 //! let after = rapl.read_joules(Domain::Package);
 //! assert!(after > before);
@@ -50,13 +46,10 @@ pub mod activity;
 pub mod counter;
 pub mod domain;
 pub mod error;
-pub mod hw;
 pub mod meter;
 pub mod msr;
-pub mod perf;
 pub mod power;
 pub mod probe;
-pub mod sampler;
 pub mod sim;
 pub mod units;
 
@@ -64,11 +57,9 @@ pub use activity::{CostModel, OpCategory, OpCounter, OpSnapshot, Scoreboard};
 pub use counter::{CounterReader, EnergyCounter};
 pub use domain::Domain;
 pub use error::RaplError;
-pub use meter::{EnergyMeter, EnergyReading, Measurement, SimMeter};
+pub use meter::Measurement;
 pub use msr::MsrDevice;
-pub use perf::EnergyStat;
 pub use power::DeviceProfile;
 pub use probe::CounterProbe;
-pub use sampler::{PowerSample, Sampler};
 pub use sim::SimulatedRapl;
 pub use units::RaplUnits;

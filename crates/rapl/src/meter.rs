@@ -1,40 +1,9 @@
-//! The measurement-level abstraction consumed by the profiler.
+//! The per-interval energy record the profiler and Table IV report.
 //!
-//! [`EnergyMeter`] is what JEPO's injected probes call at method entry and
-//! exit: "give me a reading now". A reading carries per-domain joules and
-//! a timestamp; two readings difference into a [`Measurement`].
+//! A [`Measurement`] is the difference of two simulated RAPL readings:
+//! joules per domain plus the elapsed virtual time.
 
-use crate::{Domain, MsrDevice, SimulatedRapl};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// One instantaneous sample of all domains.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyReading {
-    /// Package-domain joules since meter epoch.
-    pub package_j: f64,
-    /// Core (PP0) joules since meter epoch.
-    pub core_j: f64,
-    /// Uncore (PP1) joules since meter epoch.
-    pub uncore_j: f64,
-    /// DRAM joules since meter epoch (0 when unsupported).
-    pub dram_j: f64,
-    /// Seconds since meter epoch.
-    pub seconds: f64,
-}
-
-impl EnergyReading {
-    /// Component-wise `self - start`: the interval measurement.
-    pub fn since(&self, start: &EnergyReading) -> Measurement {
-        Measurement {
-            package_j: self.package_j - start.package_j,
-            core_j: self.core_j - start.core_j,
-            uncore_j: self.uncore_j - start.uncore_j,
-            dram_j: self.dram_j - start.dram_j,
-            seconds: self.seconds - start.seconds,
-        }
-    }
-}
 
 /// An interval measurement: joules per domain plus elapsed time —
 /// exactly the columns of the paper's Table IV ("Package", "CPU",
@@ -54,15 +23,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Average package power over the interval, watts.
-    pub fn avg_package_watts(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.package_j / self.seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Sum of two measurements (for aggregating per-method records).
     pub fn accumulate(&mut self, other: &Measurement) {
         self.package_j += other.package_j;
@@ -84,172 +44,9 @@ impl Measurement {
     }
 }
 
-/// Anything the profiler can read energy from.
-pub trait EnergyMeter: Send + Sync {
-    /// Take a reading now.
-    fn read(&self) -> EnergyReading;
-
-    /// Convenience: measure a closure as a single interval.
-    fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, Measurement)
-    where
-        Self: Sized,
-    {
-        let start = self.read();
-        let out = f();
-        let end = self.read();
-        (out, end.since(&start))
-    }
-}
-
-/// Meter over a [`SimulatedRapl`] device.
-///
-/// Uses the simulator's exact internal joules (not the quantized raw
-/// counters) — equivalent to a wrap-correct [`crate::CounterReader`] per
-/// domain, without the sampling constraint. The raw-counter path is
-/// exercised separately by the register-level tests.
-#[derive(Debug, Clone)]
-pub struct SimMeter {
-    sim: Arc<SimulatedRapl>,
-}
-
-impl SimMeter {
-    /// Wrap a simulated device.
-    pub fn new(sim: Arc<SimulatedRapl>) -> SimMeter {
-        SimMeter { sim }
-    }
-
-    /// Access the underlying device.
-    pub fn device(&self) -> &SimulatedRapl {
-        &self.sim
-    }
-}
-
-impl EnergyMeter for SimMeter {
-    fn read(&self) -> EnergyReading {
-        EnergyReading {
-            package_j: self.sim.read_joules(Domain::Package),
-            core_j: self.sim.read_joules(Domain::Core),
-            uncore_j: self.sim.read_joules(Domain::Uncore),
-            dram_j: self.sim.read_joules(Domain::Dram),
-            seconds: self.sim.clock_seconds(),
-        }
-    }
-}
-
-/// A meter reading through the *register* interface (raw wrapping
-/// counters + unit decoding), for any [`MsrDevice`]. This is the exact
-/// code path the paper's injected reader uses against `/dev/cpu/*/msr`,
-/// so it works unchanged against real hardware.
-pub struct MsrMeter<D: MsrDevice> {
-    device: D,
-    epoch: std::sync::Mutex<MsrEpoch>,
-}
-
-struct MsrEpoch {
-    readers: Vec<(Domain, crate::CounterReader)>,
-    start: std::time::Instant,
-}
-
-impl<D: MsrDevice> MsrMeter<D> {
-    /// Create a meter; domains that error on first read are skipped.
-    pub fn new(device: D) -> Result<Self, crate::RaplError> {
-        let units = device.units()?;
-        let mut readers = Vec::new();
-        for d in Domain::ALL {
-            if let Ok(raw) = device.read_energy_raw(d) {
-                let mut r = crate::CounterReader::new(units);
-                r.update(raw);
-                readers.push((d, r));
-            }
-        }
-        if readers.is_empty() {
-            return Err(crate::RaplError::BackendUnavailable(
-                "no readable RAPL domains".into(),
-            ));
-        }
-        Ok(MsrMeter {
-            device,
-            epoch: std::sync::Mutex::new(MsrEpoch {
-                readers,
-                start: std::time::Instant::now(),
-            }),
-        })
-    }
-}
-
-impl<D: MsrDevice> EnergyMeter for MsrMeter<D> {
-    fn read(&self) -> EnergyReading {
-        let mut ep = self.epoch.lock().unwrap();
-        let seconds = ep.start.elapsed().as_secs_f64();
-        let mut reading = EnergyReading {
-            package_j: 0.0,
-            core_j: 0.0,
-            uncore_j: 0.0,
-            dram_j: 0.0,
-            seconds,
-        };
-        for (d, r) in ep.readers.iter_mut() {
-            if let Ok(raw) = self.device.read_energy_raw(*d) {
-                r.update(raw);
-            }
-            let j = r.total_joules();
-            match d {
-                Domain::Package | Domain::Psys => reading.package_j = j,
-                Domain::Core => reading.core_j = j,
-                Domain::Uncore => reading.uncore_j = j,
-                Domain::Dram => reading.dram_j = j,
-            }
-        }
-        reading
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeviceProfile;
-
-    fn sim() -> Arc<SimulatedRapl> {
-        Arc::new(SimulatedRapl::new(DeviceProfile::laptop_i5_3317u()))
-    }
-
-    #[test]
-    fn sim_meter_measures_interval() {
-        let s = sim();
-        let m = SimMeter::new(s.clone());
-        let start = m.read();
-        s.add_dynamic_energy(3.0);
-        s.advance_seconds(2.0);
-        let iv = m.read().since(&start);
-        // 3 J dynamic + 3.2 W × 2 s idle
-        assert!((iv.package_j - (3.0 + 6.4)).abs() < 1e-9);
-        assert!((iv.seconds - 2.0).abs() < 1e-12);
-        assert!(iv.core_j > 0.0 && iv.core_j < iv.package_j);
-    }
-
-    #[test]
-    fn measure_closure_brackets_work() {
-        let s = sim();
-        let m = SimMeter::new(s.clone());
-        let (out, iv) = m.measure(|| {
-            s.add_dynamic_energy(1.5);
-            42
-        });
-        assert_eq!(out, 42);
-        assert!((iv.package_j - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn avg_power_is_energy_over_time() {
-        let mv = Measurement {
-            package_j: 10.0,
-            seconds: 2.0,
-            ..Default::default()
-        };
-        assert!((mv.avg_package_watts() - 5.0).abs() < 1e-12);
-        let zero = Measurement::default();
-        assert_eq!(zero.avg_package_watts(), 0.0);
-    }
 
     #[test]
     fn improvement_pct_matches_table4_formula() {
@@ -277,26 +74,5 @@ mod tests {
         });
         assert!((a.package_j - 3.0).abs() < 1e-12);
         assert!((a.seconds - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn msr_meter_reads_through_registers() {
-        let s = SimulatedRapl::new(DeviceProfile::laptop_i5_3317u());
-        let meter = MsrMeter::new(s.clone()).expect("sim always has domains");
-        let r0 = meter.read();
-        s.add_dynamic_energy(2.0);
-        let r1 = meter.read();
-        let iv = r1.since(&r0);
-        // Quantization to hardware units loses < 1 count per domain.
-        assert!((iv.package_j - 2.0).abs() < 1e-3, "got {}", iv.package_j);
-        assert!((iv.core_j - 1.64).abs() < 1e-3);
-    }
-
-    #[test]
-    fn msr_meter_skips_missing_domains() {
-        let s = SimulatedRapl::new(DeviceProfile::laptop_i5_3317u());
-        let meter = MsrMeter::new(s).unwrap();
-        let r = meter.read();
-        assert_eq!(r.dram_j, 0.0, "client part exposes no DRAM domain");
     }
 }

@@ -11,8 +11,6 @@ use crate::{Domain, RaplError};
 pub const MSR_RAPL_POWER_UNIT: u32 = 0x606;
 /// Package energy-status counter (32 significant bits, wrapping).
 pub const MSR_PKG_ENERGY_STATUS: u32 = 0x611;
-/// Package power-limit control register.
-pub const MSR_PKG_POWER_LIMIT: u32 = 0x610;
 /// Package power-info register (TDP, min/max power).
 pub const MSR_PKG_POWER_INFO: u32 = 0x614;
 /// DRAM energy-status counter.
@@ -24,10 +22,11 @@ pub const MSR_PP1_ENERGY_STATUS: u32 = 0x641;
 /// Platform (PSys) energy-status counter (Skylake+).
 pub const MSR_PLATFORM_ENERGY_STATUS: u32 = 0x64D;
 
-/// A device exposing RAPL MSRs. Implemented by the simulator
-/// ([`crate::SimulatedRapl`]) and by the real-hardware backend
-/// ([`crate::hw::MsrFileDevice`]). Code written against this trait —
-/// including the profiler's injected readers — cannot tell the two apart.
+/// A device exposing RAPL MSRs, implemented by the simulator
+/// ([`crate::SimulatedRapl`]). The profiler's probes read energy only
+/// through this register interface, never from the simulator's internal
+/// joules, so they decode units and handle counter wraps as reader code
+/// on real hardware must.
 pub trait MsrDevice: Send + Sync {
     /// Read a 64-bit MSR by address.
     fn read_msr(&self, addr: u32) -> Result<u64, RaplError>;

@@ -6,16 +6,15 @@
 //! reads — silently loses `2³² × joules_per_count` whenever the counter
 //! wraps inside the span (roughly hourly at laptop TDP, well within a
 //! long Table IV run). [`CounterProbe`] therefore routes every raw MSR
-//! read through the wrap-aware [`CounterReader`], the same path the
-//! meters use, so a wrap mid-span yields the correct delta (see the
-//! wrap-forcing test below).
+//! read through the wrap-aware [`CounterReader`], so a wrap mid-span
+//! yields the correct delta (see the wrap-forcing test below).
 
 use crate::{CounterReader, Domain, MsrDevice, RaplError};
 use jepo_trace::EnergyProbe;
 use std::sync::Mutex;
 
-/// Wrap-correct cumulative energy probe over one domain of any
-/// [`MsrDevice`] (simulator or real hardware — the probe cannot tell).
+/// Wrap-correct cumulative energy probe over one domain of an
+/// [`MsrDevice`].
 pub struct CounterProbe<D: MsrDevice> {
     device: D,
     domain: Domain,

@@ -1,11 +1,11 @@
 //! The simulated RAPL device.
 //!
-//! A [`SimulatedRapl`] owns one [`crate::EnergyCounter`] per domain plus a
-//! virtual clock. Energy accrues from two sources, mirroring the standard
-//! CMOS decomposition `P = P_static + P_dynamic`:
+//! A [`SimulatedRapl`] owns one [`crate::EnergyCounter`] per domain.
+//! Energy accrues from two sources, mirroring the standard CMOS
+//! decomposition `P = P_static + P_dynamic`:
 //!
 //! * **Idle (static) power** — accrues with virtual time via
-//!   [`SimulatedRapl::advance_time`], split between domains by the
+//!   [`SimulatedRapl::advance_seconds`], split between domains by the
 //!   device profile's idle fractions.
 //! * **Dynamic energy** — joules of *work*, reported by instrumented
 //!   programs (the VM's per-opcode model, or the ML layer's operation
@@ -20,13 +20,10 @@ use crate::{
 };
 use std::sync::Arc;
 use std::sync::Mutex;
-use std::time::Duration;
 
 #[derive(Debug)]
 struct SimState {
     counters: Vec<(Domain, EnergyCounter)>,
-    /// Virtual elapsed time in seconds.
-    clock_seconds: f64,
     /// Total dynamic joules ever reported (diagnostics).
     dynamic_joules: f64,
 }
@@ -42,12 +39,7 @@ pub struct SimulatedRapl {
 impl SimulatedRapl {
     /// Create a device with the default Core-family units.
     pub fn new(profile: DeviceProfile) -> SimulatedRapl {
-        SimulatedRapl::with_units(profile, RaplUnits::default())
-    }
-
-    /// Create a device with explicit units (e.g. Atom's coarser energy
-    /// unit, to test unit-decoding paths).
-    pub fn with_units(profile: DeviceProfile, units: RaplUnits) -> SimulatedRapl {
+        let units = RaplUnits::default();
         profile
             .validate()
             .unwrap_or_else(|e| panic!("invalid device profile: {e}"));
@@ -69,7 +61,6 @@ impl SimulatedRapl {
             units,
             state: Arc::new(Mutex::new(SimState {
                 counters,
-                clock_seconds: 0.0,
                 dynamic_joules: 0.0,
             })),
         }
@@ -80,17 +71,12 @@ impl SimulatedRapl {
         &self.profile
     }
 
-    /// Advance the virtual clock; idle power accrues on every domain.
-    pub fn advance_time(&self, dt: Duration) {
-        self.advance_seconds(dt.as_secs_f64());
-    }
-
-    /// [`SimulatedRapl::advance_time`] with a raw seconds value.
+    /// Let `dt` seconds of virtual time pass; idle power accrues on every
+    /// domain.
     pub fn advance_seconds(&self, dt: f64) {
         assert!(dt >= 0.0, "time cannot run backwards");
         let idle_j = self.profile.idle_package_watts * dt;
         let mut st = self.state.lock().unwrap();
-        st.clock_seconds += dt;
         for (d, c) in st.counters.iter_mut() {
             let share = match d {
                 Domain::Package | Domain::Psys => 1.0,
@@ -129,11 +115,6 @@ impl SimulatedRapl {
             .find(|(d, _)| *d == domain)
             .map(|(_, c)| c.total_joules())
             .unwrap_or(0.0)
-    }
-
-    /// Virtual clock value in seconds.
-    pub fn clock_seconds(&self) -> f64 {
-        self.state.lock().unwrap().clock_seconds
     }
 
     /// Total dynamic joules ever reported.

@@ -61,11 +61,6 @@ impl RaplUnits {
         1.0 / f64::from(1u32 << self.power_exp)
     }
 
-    /// Seconds represented by one raw time count.
-    pub fn seconds_per_count(self) -> f64 {
-        1.0 / f64::from(1u32 << self.time_exp)
-    }
-
     /// Convert a raw energy counter value to joules.
     pub fn raw_to_joules(self, raw: u64) -> f64 {
         raw as f64 * self.joules_per_count()
@@ -75,14 +70,6 @@ impl RaplUnits {
     /// sub-unit energy accumulates internally, which the simulator models).
     pub fn joules_to_raw(self, joules: f64) -> u64 {
         (joules / self.joules_per_count()).floor().max(0.0) as u64
-    }
-
-    /// Time before a 32-bit energy counter wraps at the given average
-    /// power, in seconds. At the default unit and 17 W (the i5-3317U TDP)
-    /// this is about 64 minutes — short enough that the paper's multi-run
-    /// protocol must (and our [`crate::CounterReader`] does) handle wraps.
-    pub fn wrap_seconds_at(self, watts: f64) -> f64 {
-        (u32::MAX as f64 * self.joules_per_count()) / watts
     }
 }
 
@@ -96,7 +83,6 @@ mod tests {
         let u = RaplUnits::default();
         assert!((u.joules_per_count() - 15.258789e-6).abs() < 1e-9);
         assert!((u.watts_per_count() - 0.125).abs() < 1e-12);
-        assert!((u.seconds_per_count() - 976.5625e-6).abs() < 1e-9);
     }
 
     #[test]
@@ -104,12 +90,6 @@ mod tests {
         // The exact raw value Core parts report.
         assert_eq!(RaplUnits::default().to_msr(), 0x000A_1003);
         assert_eq!(RaplUnits::from_msr(0x000A_1003), RaplUnits::default());
-    }
-
-    #[test]
-    fn wrap_time_is_about_an_hour_at_tdp() {
-        let secs = RaplUnits::default().wrap_seconds_at(17.0);
-        assert!(secs > 3500.0 && secs < 4000.0, "got {secs}");
     }
 
     #[test]

@@ -211,6 +211,28 @@ fn full_queue_rejects_with_structured_busy() {
     shutdown_and_join(&addr, handle);
 }
 
+/// With no queue slots a job is admitted only by an idle worker, so the
+/// daemon must not accept connections before its workers are parked:
+/// the very first request is answered, not bounced as `busy`.
+#[test]
+fn rendezvous_queue_answers_the_first_request() {
+    let handle = jepo_serve::serve(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_depth: 0,
+        ..Default::default()
+    })
+    .expect("bind test daemon");
+    let addr = handle.addr().to_string();
+    let resp = client::request(&addr, &Request::new("ping")).expect("ping responds");
+    assert!(resp.is_ok(), "{:?}", resp.error);
+    assert_eq!(resp.body, "pong\n");
+    // Stop through the handle: a second request could race the worker's
+    // return to idle and be bounced, which is what depth 0 means.
+    handle.shutdown();
+    handle.join();
+}
+
 /// Satellite: malformed input — garbage payloads, oversized prefixes,
 /// truncated frames — produces structured errors and the daemon keeps
 /// serving afterwards.

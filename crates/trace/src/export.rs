@@ -1,4 +1,4 @@
-//! Exporters: Chrome trace-event JSON, JSONL metrics, terminal views.
+//! Exporters: Chrome trace-event JSON and JSONL metrics.
 //!
 //! The Chrome export emits exactly one JSON object per line inside
 //! `traceEvents`, which keeps the (dependency-free) validator and the
@@ -172,189 +172,6 @@ pub fn metrics_jsonl(snaps: &[MetricSnapshot]) -> String {
     out
 }
 
-/// A completed span reconstructed from begin/end events.
-struct Closed<'a> {
-    track: usize,
-    /// Path of span names from the track root down to this span.
-    path: Vec<&'a str>,
-    wall_ns: u64,
-    package_j: f64,
-}
-
-/// Pair up begin/end events per track (tracks are single-writer, so a
-/// per-track stack reconstructs nesting exactly).
-fn closed_spans(data: &TraceData) -> Vec<Closed<'_>> {
-    let mut per_track: Vec<Vec<&Event>> = vec![Vec::new(); data.tracks.len()];
-    for e in &data.events {
-        per_track[e.track].push(e);
-    }
-    let mut out = Vec::new();
-    for (track, mut evs) in per_track.into_iter().enumerate() {
-        evs.sort_by_key(|e| e.seq);
-        let mut stack: Vec<(&str, u64, u64)> = Vec::new(); // (name, id, ts)
-        for e in evs {
-            match &e.kind {
-                EventKind::Begin { span_id, name, .. } => {
-                    stack.push((name.as_ref(), *span_id, e.ts_ns));
-                }
-                EventKind::End { span_id, package_j } => {
-                    if let Some(pos) = stack.iter().rposition(|&(_, id, _)| id == *span_id) {
-                        let (_, _, ts0) = stack[pos];
-                        let path = stack[..=pos].iter().map(|&(n, _, _)| n).collect();
-                        stack.truncate(pos);
-                        out.push(Closed {
-                            track,
-                            path,
-                            wall_ns: e.ts_ns.saturating_sub(ts0),
-                            package_j: *package_j,
-                        });
-                    }
-                }
-                EventKind::Instant { .. } => {}
-            }
-        }
-    }
-    out
-}
-
-/// Aligned text table in the Fig. 1–5 view style (duplicated from
-/// `jepo-core::views` — this crate sits below core in the dependency
-/// graph).
-fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncols) {
-            widths[i] = widths[i].max(cell.chars().count());
-        }
-    }
-    let mut out = String::new();
-    let line = |cells: &[String], out: &mut String| {
-        for (i, cell) in cells.iter().enumerate().take(ncols) {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(cell);
-            for _ in cell.chars().count()..widths[i] {
-                out.push(' ');
-            }
-        }
-        while out.ends_with(' ') {
-            out.pop();
-        }
-        out.push('\n');
-    };
-    line(
-        &headers.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-        &mut out,
-    );
-    let rule: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
-    out.push_str(&"-".repeat(rule));
-    out.push('\n');
-    for row in rows {
-        line(row, &mut out);
-    }
-    out
-}
-
-/// Terminal summary: per span name, call count, total wall time and
-/// total attributed energy — the trace analogue of the Fig. 4 profiler
-/// view. Sorted by energy (desc), then wall time (desc), then name.
-pub fn summary_view(data: &TraceData) -> String {
-    let spans = closed_spans(data);
-    if spans.is_empty() {
-        return "jepo-trace — no spans recorded\n".to_string();
-    }
-    let mut agg: std::collections::BTreeMap<&str, (u64, u64, f64)> =
-        std::collections::BTreeMap::new();
-    for s in &spans {
-        let name = *s.path.last().unwrap();
-        let e = agg.entry(name).or_insert((0, 0, 0.0));
-        e.0 += 1;
-        e.1 += s.wall_ns;
-        e.2 += s.package_j;
-    }
-    let mut rows: Vec<(&str, u64, u64, f64)> =
-        agg.into_iter().map(|(n, (c, w, j))| (n, c, w, j)).collect();
-    // `total_cmp`: a NaN joule total (poisoned counter) must still sort
-    // deterministically — `partial_cmp(..).unwrap_or(Equal)` makes the
-    // row order depend on the comparison sequence.
-    rows.sort_by(|a, b| b.3.total_cmp(&a.3).then(b.2.cmp(&a.2)).then(a.0.cmp(b.0)));
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(n, c, w, j)| {
-            vec![
-                n.to_string(),
-                c.to_string(),
-                format!("{:.3}", *w as f64 / 1e6),
-                format!("{:.3}", j * 1e3),
-            ]
-        })
-        .collect();
-    let mut out = String::from("jepo-trace — span summary\n\n");
-    out.push_str(&render_table(
-        &["Span", "Calls", "Wall (ms)", "Energy (mJ)"],
-        &table,
-    ));
-    out
-}
-
-/// Terminal flamegraph: per track, nested spans aggregated by path with
-/// an indent per nesting level and a wall-time bar.
-pub fn flame_view(data: &TraceData) -> String {
-    let spans = closed_spans(data);
-    if spans.is_empty() {
-        return "jepo-trace — no spans recorded\n".to_string();
-    }
-    // Aggregate (track, path) → (calls, wall, joules); BTreeMap gives a
-    // deterministic walk with parents before children (prefix order).
-    let mut agg: std::collections::BTreeMap<(usize, Vec<&str>), (u64, u64, f64)> =
-        std::collections::BTreeMap::new();
-    for s in &spans {
-        let e = agg.entry((s.track, s.path.clone())).or_insert((0, 0, 0.0));
-        e.0 += 1;
-        e.1 += s.wall_ns;
-        e.2 += s.package_j;
-    }
-    let mut track_order: Vec<usize> = (0..data.tracks.len()).collect();
-    track_order.sort_by(|&a, &b| data.tracks[a].cmp(&data.tracks[b]));
-    let total_wall: u64 = agg
-        .iter()
-        .filter(|((_, p), _)| p.len() == 1)
-        .map(|(_, (_, w, _))| *w)
-        .sum::<u64>()
-        .max(1);
-    let mut out = String::from("jepo-trace — flame view (wall time, energy)\n");
-    for &t in &track_order {
-        type FlameRow<'a> = (&'a Vec<&'a str>, &'a (u64, u64, f64));
-        let rows: Vec<FlameRow> = agg
-            .iter()
-            .filter(|((tt, _), _)| *tt == t)
-            .map(|((_, p), v)| (p, v))
-            .collect();
-        if rows.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "\ntrack {}", data.tracks[t]);
-        for (path, (calls, wall, joules)) in rows {
-            let frac = *wall as f64 / total_wall as f64;
-            let bar_len = (frac * 20.0).round() as usize;
-            let bar: String = "#".repeat(bar_len.min(20));
-            let _ = writeln!(
-                out,
-                "  {:<20} {}{} ({}x, {:.3} ms, {:.3} mJ)",
-                format!("[{bar:<20}]"),
-                "  ".repeat(path.len() - 1),
-                path.last().unwrap(),
-                calls,
-                *wall as f64 / 1e6,
-                joules * 1e3
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,67 +214,6 @@ mod tests {
         // Content (names, ids, seq) survives masking.
         assert!(masked.contains("\"name\":\"outer\""));
         assert!(masked.contains("\"seq\":0"));
-    }
-
-    #[test]
-    fn summary_view_aggregates_energy() {
-        let view = summary_view(&sample_data());
-        assert!(view.contains("Span"), "{view}");
-        assert!(view.contains("Energy (mJ)"), "{view}");
-        assert!(view.contains("outer"), "{view}");
-        assert!(view.contains("2000.000"), "2 J = 2000 mJ:\n{view}");
-    }
-
-    #[test]
-    fn summary_view_sorts_nan_energy_deterministically() {
-        // A span whose joule reading was poisoned (NaN probe delta —
-        // `add_joules` clamps, but the probe path doesn't) must land in
-        // a fixed position: `total_cmp` puts NaN above every finite
-        // total, so the poisoned row leads and is visible, instead of
-        // floating wherever the sort's comparison order left it.
-        use crate::span::{Event, EventKind};
-        let mut events = Vec::new();
-        for (i, (id, name, j)) in [(1u64, "alpha", f64::NAN), (2, "beta", 1.0)]
-            .into_iter()
-            .enumerate()
-        {
-            events.push(Event {
-                track: 0,
-                seq: 2 * i as u64,
-                ts_ns: 0,
-                kind: EventKind::Begin {
-                    span_id: id,
-                    parent_id: 0,
-                    name: name.into(),
-                },
-            });
-            events.push(Event {
-                track: 0,
-                seq: 2 * i as u64 + 1,
-                ts_ns: 0,
-                kind: EventKind::End {
-                    span_id: id,
-                    package_j: j,
-                },
-            });
-        }
-        let data = TraceData {
-            tracks: vec!["work".into()],
-            events,
-        };
-        let view = summary_view(&data);
-        let alpha = view.find("alpha").expect("alpha row");
-        let beta = view.find("beta").expect("beta row");
-        assert!(alpha < beta, "NaN row sorts first:\n{view}");
-        assert!(view.contains("NaN"), "{view}");
-    }
-
-    #[test]
-    fn flame_view_indents_children() {
-        let view = flame_view(&sample_data());
-        assert!(view.contains("track work"), "{view}");
-        assert!(view.contains("outer"), "{view}");
-        assert!(view.contains("  inner"), "child indented:\n{view}");
     }
 
     #[test]

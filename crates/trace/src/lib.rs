@@ -3,13 +3,12 @@
 //! The paper's contribution is *measurement*: per-method energy read
 //! from RAPL by injected probes. This crate turns the same idea on the
 //! reproduction itself. Every layer (pool, VM, analyzer, harness) opens
-//! [`span`]s on named *tracks*; closing a span records wall time plus an
-//! energy delta read wrap-safely from the active RAPL backend through an
-//! [`EnergyProbe`]. A [`metrics::Registry`] collects counters, gauges
-//! and fixed-bucket histograms on a striped lock-free hot path (the
-//! PR-2 scoreboard pattern). Exporters produce Chrome trace-event JSON
-//! (loadable in `about:tracing` / Perfetto), a terminal summary/flame
-//! view in the Fig. 1–5 table style, and a JSONL metrics dump.
+//! [`span()`]s on named *tracks*; closing a span records wall time plus an
+//! energy delta read wrap-safely from the simulated RAPL device through
+//! an [`EnergyProbe`]. A [`metrics::Registry`] collects counters, gauges
+//! and fixed-bucket histograms on a striped lock-free hot path.
+//! Exporters produce Chrome trace-event JSON (loadable in
+//! `about:tracing` / Perfetto) and a JSONL metrics dump.
 //!
 //! ## Determinism contract
 //!
@@ -26,7 +25,7 @@
 //!
 //! ## Overhead contract
 //!
-//! With tracing disabled (the default), [`span`] is a thread-local read
+//! With tracing disabled (the default), [`span()`] is a thread-local read
 //! plus a branch and takes no locks; instrumentation sites sit at coarse
 //! boundaries (per worker, per file, per run), never per-op. The
 //! `bench --bin telemetry` selfcheck enforces this stays

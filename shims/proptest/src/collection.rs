@@ -3,7 +3,7 @@
 use crate::strategy::Strategy;
 use rand::prelude::*;
 
-/// Acceptable size arguments for [`vec`].
+/// Acceptable size arguments for [`vec()`].
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     lo: usize,
@@ -43,7 +43,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,
