@@ -4,9 +4,10 @@
 //! supercomputers, where huge amount of data is analyzed in short time,
 //! JEPO can help to significantly reduce the energy consumption."
 //!
-//! This harness sweeps the instance count and reports the Random Forest
-//! package-energy improvement at each scale — the trend (bigger data →
-//! bigger matrices → bigger improvement) must be non-decreasing.
+//! This harness sweeps the instance count and reports the package-energy
+//! improvement at each scale. For J48 it rises until the instance matrix
+//! outgrows L1 (between 500 and 1,000 instances) and then eases off; the
+//! bin prints the sweep and checks no trend.
 //!
 //! Usage: `scaling [classifier] [--jobs N]` (default "J48", 1 worker).
 //! `--jobs` fans the CV folds of each measurement out over N workers

@@ -575,14 +575,8 @@ fn main() -> ExitCode {
         },
         "optimize" => cmd_optimize(a.path(0), a.has("--write"), a.has("--aggressive")),
         "profile" => {
-            let Some(interval_us) = a.num("--interval", 100) else {
+            let Ok(mode) = ProfilingMode::parse(a.value("--mode"), a.value("--interval")) else {
                 return usage();
-            };
-            let mode = match a.value("--mode") {
-                None | Some("instrumented") => ProfilingMode::Instrumented,
-                Some("sampling") => ProfilingMode::Sampling { interval_us },
-                Some("both") => ProfilingMode::Both { interval_us },
-                Some(_) => return usage(),
             };
             cmd_profile(a.path(0), a.value("--main").map(str::to_string), mode)
         }

@@ -142,6 +142,8 @@ fn bad_usage_exits_nonzero() {
         vec!["table4", "abc"],
         vec!["table4", "200", "3", "--cache-dir", dir],
         vec!["profile", dir, "--main"],
+        vec!["profile", dir, "--mode", "bogus"],
+        vec!["profile", dir, "--mode", "sampling", "--interval", "x"],
         vec!["optimize", dir, "--wirte"],
         vec!["serve", "--jobs", "x"],
     ] {
@@ -500,9 +502,9 @@ fn callee_only_edit_invalidates_cached_caller() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Tentpole: the daemon's warm responses are byte-identical to the
-/// real binary's cold stdout, and a `shutdown` request drains the
-/// daemon to a clean exit 0.
+/// The daemon's cold and warm responses (analyze, energy, table4, and
+/// profile in every mode) are byte-identical to the real binary's
+/// stdout, and a `shutdown` request drains the daemon to a clean exit 0.
 #[test]
 fn serve_daemon_matches_cli_bytes_and_drains_on_shutdown() {
     use std::io::BufRead;
@@ -544,12 +546,12 @@ fn serve_daemon_matches_cli_bytes_and_drains_on_shutdown() {
         );
         String::from_utf8(out.stdout).unwrap()
     };
-    let cases: Vec<(jepo_serve::Request, String)> = {
+    let mut cases: Vec<(jepo_serve::Request, String)> = {
         let mut analyze = jepo_serve::Request::new("analyze");
         analyze.files = files.clone();
         let mut energy = jepo_serve::Request::new("energy");
         energy.params.push(("top".into(), "3".into()));
-        energy.files = files;
+        energy.files = files.clone();
         let mut table4 = jepo_serve::Request::new("table4");
         table4.params.push(("instances".into(), "120".into()));
         table4.params.push(("folds".into(), "2".into()));
@@ -562,6 +564,19 @@ fn serve_daemon_matches_cli_bytes_and_drains_on_shutdown() {
             (table4, cli_stdout(&["table4", "120", "2"])),
         ]
     };
+    // The served profile is the CLI's stdout without the line that
+    // reports writing `result.txt`, which only the CLI does.
+    let wrote = format!("\nWrote {}.\n", dir.join("result.txt").display());
+    for mode in ["instrumented", "sampling", "both"] {
+        let mut profile = jepo_serve::Request::new("profile");
+        profile.params.push(("mode".into(), mode.into()));
+        profile.params.push(("interval".into(), "10".into()));
+        profile.files = files.clone();
+        let args = ["profile", dir.to_str().unwrap(), "--mode", mode];
+        let stdout = cli_stdout(&[&args[..], &["--interval", "10"]].concat());
+        assert!(stdout.contains(&wrote), "{mode}: {stdout}");
+        cases.push((profile, stdout.replacen(&wrote, "", 1)));
+    }
     for round in 0..2 {
         for (req, want) in &cases {
             let resp = jepo_serve::request(&addr, req).expect("request served");

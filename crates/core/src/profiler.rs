@@ -9,27 +9,20 @@
 use crate::views;
 use jepo_jlang::{JavaProject, MainClassChoice};
 use jepo_jvm::{
-    DecodedProgram, Dispatch, MethodEnergyRecord, Program, SampleSet, SampledMethodRecord,
-    SamplingConfig, Vm, VmError,
+    Dispatch, MethodEnergyRecord, Program, SampleSet, SampledMethodRecord, SamplingConfig, Vm,
+    VmError,
 };
-use std::sync::Arc;
 
-/// Shared, immutable compiled forms of one project — the unit of the
-/// profiling-as-a-service hot cache. Built once per corpus content
-/// hash by [`JepoProfiler::prepare`]; every subsequent profile request
-/// for the same bytes skips parse, compile, probe injection, decode,
-/// and IR compilation entirely ([`JepoProfiler::profile_prepared`]).
-///
-/// Both variants are kept because the profiling modes need different
-/// bytecode: `Instrumented`/`Both` run the probe-injected program,
-/// `Sampling` (and the `Both` sampling leg) the plain one.
+/// The VMs one profile runs, built by [`JepoProfiler::prepare`] for the
+/// profiler's mode: compiled, probe-injected where the mode needs
+/// probes, decoded and IR-lowered, ready to run `main`.
 pub struct PreparedProgram {
-    plain: Program,
-    plain_decoded: Option<Arc<DecodedProgram>>,
-    plain_ir: Option<Arc<jepo_jvm::ir::IrProgram>>,
-    instr: Program,
-    instr_decoded: Option<Arc<DecodedProgram>>,
-    instr_ir: Option<Arc<jepo_jvm::ir::IrProgram>>,
+    /// The probe-injected program (`Instrumented` and `Both`).
+    instrumented: Option<Vm>,
+    /// The plain program with the sampler on, and the sampling interval
+    /// in microseconds (`Sampling` and `Both`).
+    sampling: Option<(Vm, u64)>,
+    /// Probes injected into `instrumented`.
     probes: usize,
 }
 
@@ -53,6 +46,25 @@ pub enum ProfilingMode {
         /// Sampling interval for the sampling leg.
         interval_us: u64,
     },
+}
+
+impl ProfilingMode {
+    /// The mode `mode` names — `instrumented` (also when absent),
+    /// `sampling` or `both` — sampling every `interval` microseconds of
+    /// virtual time (100 when absent). The CLI's `--mode`/`--interval`
+    /// and the daemon's `mode`/`interval` parameters both parse here.
+    pub fn parse(mode: Option<&str>, interval: Option<&str>) -> Result<ProfilingMode, String> {
+        let interval_us = match interval {
+            Some(v) => v.parse().map_err(|_| format!("bad interval: {v}"))?,
+            None => 100,
+        };
+        match mode {
+            None | Some("instrumented") => Ok(ProfilingMode::Instrumented),
+            Some("sampling") => Ok(ProfilingMode::Sampling { interval_us }),
+            Some("both") => Ok(ProfilingMode::Both { interval_us }),
+            Some(other) => Err(format!("unknown mode: {other}")),
+        }
+    }
 }
 
 /// The sampling half of a profile report.
@@ -121,9 +133,9 @@ pub struct JepoProfiler {
     pub chosen_main: Option<String>,
     /// Instruction budget for the run.
     pub fuel: u64,
-    /// Which interpreter engine runs the instrumented program (both are
-    /// bit-identical; `Legacy` exists for differential tests and as the
-    /// benchmark baseline).
+    /// Which interpreter engine runs the profiled program. All three are
+    /// bit-identical; `Decoded` and `Legacy` remain as differential
+    /// references and benchmark baselines.
     pub dispatch: Dispatch,
     /// Attribution mode (instrumented probes, statistical sampling, or
     /// both side by side).
@@ -159,96 +171,52 @@ impl JepoProfiler {
         self
     }
 
-    /// Build the shared compiled forms of a project once: compile,
-    /// then decode + IR-compile both the plain and the probe-injected
-    /// variants for this profiler's dispatch. The result is immutable
-    /// and cheap to share (`Arc` it); [`JepoProfiler::profile_prepared`]
-    /// runs against it without re-doing any of that work.
+    /// Compile the project and build the VMs this profiler's mode runs:
+    /// the probe-injected program for `Instrumented`, the plain one with
+    /// the sampler on for `Sampling`, both for `Both`. Each is decoded and
+    /// IR-lowered here, once, so a run only executes.
     pub fn prepare(&self, project: &JavaProject) -> Result<PreparedProgram, VmError> {
         let _s = jepo_trace::span("profile/prepare");
-        let plain = jepo_jvm::compile_project(project)?;
-        let mut instr = plain.clone();
-        let probes = jepo_jvm::instrument_all(&mut instr);
-        // Throwaway VMs build the derived forms exactly the way a cold
-        // run would, so prepared and cold runs share one code path.
-        let (plain_decoded, plain_ir) = Vm::new(plain.clone())
-            .with_dispatch(self.dispatch)
-            .shared_forms();
-        let (instr_decoded, instr_ir) = Vm::new(instr.clone())
-            .with_dispatch(self.dispatch)
-            .shared_forms();
+        let program = jepo_jvm::compile_project(project)?;
+        let sampled = |program, interval_us| {
+            let cfg = SamplingConfig::from_interval_us(interval_us);
+            (self.vm(program).with_sampling(cfg), interval_us)
+        };
+        let (instr, sampling) = match self.mode {
+            ProfilingMode::Instrumented => (Some(program), None),
+            ProfilingMode::Sampling { interval_us } => (None, Some(sampled(program, interval_us))),
+            ProfilingMode::Both { interval_us } => {
+                (Some(program.clone()), Some(sampled(program, interval_us)))
+            }
+        };
+        let mut probes = 0;
+        let instrumented = instr.map(|mut program| {
+            probes = jepo_jvm::instrument_all(&mut program);
+            self.vm(program)
+        });
         Ok(PreparedProgram {
-            plain,
-            plain_decoded,
-            plain_ir,
-            instr,
-            instr_decoded,
-            instr_ir,
+            instrumented,
+            sampling,
             probes,
         })
     }
 
-    /// Compile the project into a fresh VM, optionally instrumented
-    /// (probe count) and optionally sampling. With `prepared`,
-    /// compilation and probe injection are skipped, and so are decode
-    /// and IR lowering wherever the shared forms already hold them.
-    fn build_vm(
-        &self,
-        project: &JavaProject,
-        instrument: bool,
-        sampling: Option<SamplingConfig>,
-        prepared: Option<&PreparedProgram>,
-    ) -> Result<(Vm, usize), VmError> {
-        let _s = jepo_trace::span("profile/compile");
-        let (mut vm, probes) = match prepared {
-            Some(p) => {
-                let (program, decoded, ir, probes) = if instrument {
-                    (
-                        p.instr.clone(),
-                        p.instr_decoded.clone(),
-                        p.instr_ir.clone(),
-                        p.probes,
-                    )
-                } else {
-                    (
-                        p.plain.clone(),
-                        p.plain_decoded.clone(),
-                        p.plain_ir.clone(),
-                        0,
-                    )
-                };
-                (
-                    Vm::from_prepared(program, decoded, ir, instrument)
-                        .with_dispatch(self.dispatch),
-                    probes,
-                )
-            }
-            None => {
-                let vm = Vm::from_project(project)?.with_dispatch(self.dispatch);
-                (vm, 0)
-            }
-        };
-        vm = vm.with_fuel(self.fuel);
-        if let Some(cfg) = sampling {
-            vm = vm.with_sampling(cfg);
-        }
-        let probes = if instrument && prepared.is_none() {
-            vm.instrument()
-        } else {
-            probes
-        };
-        Ok((vm, probes))
+    /// A VM on `program` with this profiler's engine and fuel, its
+    /// decoded and IR forms already built.
+    fn vm(&self, program: Program) -> Vm {
+        let mut vm = Vm::new(program)
+            .with_dispatch(self.dispatch)
+            .with_fuel(self.fuel);
+        vm.shared_forms();
+        vm
     }
 
     /// Run one sampling-mode pass and fold the outcome.
     fn run_sampling(
         &self,
-        project: &JavaProject,
+        mut vm: Vm,
         interval_us: u64,
-        prepared: Option<&PreparedProgram>,
     ) -> Result<(SampledProfile, jepo_jvm::RunOutcome), VmError> {
-        let cfg = SamplingConfig::from_interval_us(interval_us);
-        let (mut vm, _) = self.build_vm(project, false, Some(cfg), prepared)?;
         let out = {
             let _s = jepo_trace::span("profile/run-sampling");
             vm.run_main()?
@@ -273,21 +241,10 @@ impl JepoProfiler {
         Ok((profile, out))
     }
 
-    /// Profile a project end to end.
+    /// Profile a project end to end: discover the main class, prepare
+    /// the VMs the mode runs, run the instrumented leg and then the
+    /// sampling leg, and fold each into the report.
     pub fn profile(&self, project: &JavaProject) -> Result<ProfileReport, VmError> {
-        self.profile_prepared(project, None)
-    }
-
-    /// Profile a project end to end, reusing shared compiled forms when
-    /// available. `prepared` must come from [`JepoProfiler::prepare`] on
-    /// the same project bytes; it may have been prepared under another
-    /// dispatch, since the VM runs this profiler's engine whatever forms
-    /// it is handed. The report is bit-identical either way.
-    pub fn profile_prepared(
-        &self,
-        project: &JavaProject,
-        prepared: Option<&PreparedProgram>,
-    ) -> Result<ProfileReport, VmError> {
         let _track = jepo_trace::would_trace().then(|| jepo_trace::track("profile"));
         // Main-class discovery per §VII.
         let main_class = {
@@ -312,9 +269,13 @@ impl JepoProfiler {
                 },
             }
         };
-        // Pure sampling: no probes, statistical attribution only.
-        if let ProfilingMode::Sampling { interval_us } = self.mode {
-            let (sampled, out) = self.run_sampling(project, interval_us, prepared)?;
+        let prepared = self.prepare(project)?;
+        let Some(mut vm) = prepared.instrumented else {
+            // Pure sampling: no probes, statistical attribution only.
+            let (vm, interval_us) = prepared
+                .sampling
+                .expect("a sampling-only profile prepares the plain program");
+            let (sampled, out) = self.run_sampling(vm, interval_us)?;
             let result_txt = {
                 let _s = jepo_trace::span("profile/report");
                 views::sampling_result_txt(&sampled.records)
@@ -329,9 +290,8 @@ impl JepoProfiler {
                 energy: out.energy,
                 result_txt,
             });
-        }
+        };
         // Instrumented leg (also the ground truth for `Both`).
-        let (mut vm, probes) = self.build_vm(project, true, None, prepared)?;
         let out = {
             let _s = jepo_trace::span("profile/run");
             vm.run_main()?
@@ -342,16 +302,14 @@ impl JepoProfiler {
             let result_txt = views::result_txt(&records);
             (records, result_txt)
         };
-        let sampled = match self.mode {
-            ProfilingMode::Both { interval_us } => {
-                Some(self.run_sampling(project, interval_us, prepared)?.0)
-            }
-            _ => None,
+        let sampled = match prepared.sampling {
+            Some((vm, interval_us)) => Some(self.run_sampling(vm, interval_us)?.0),
+            None => None,
         };
         Ok(ProfileReport {
             main_class,
             mode: self.mode,
-            probes_injected: probes,
+            probes_injected: prepared.probes,
             records,
             sampled,
             stdout: out.stdout,
@@ -530,34 +488,6 @@ mod tests {
                     "jobs={jobs} run {i} diverged from the jobs=1 reference"
                 );
             }
-        }
-    }
-
-    /// The hot-cache contract: a profile run against prepared shared
-    /// forms is bit-identical to a cold run, in every mode.
-    #[test]
-    fn prepared_profile_is_bit_identical_to_cold() {
-        let project = corpus::runnable_project();
-        for mode in [
-            ProfilingMode::Instrumented,
-            ProfilingMode::Sampling { interval_us: 10 },
-            ProfilingMode::Both { interval_us: 10 },
-        ] {
-            let profiler = JepoProfiler::new().with_mode(mode);
-            let prepared = profiler.prepare(&project).unwrap();
-            let cold = profiler.profile(&project).unwrap();
-            let warm = profiler
-                .profile_prepared(&project, Some(&prepared))
-                .unwrap();
-            assert_eq!(warm.probes_injected, cold.probes_injected, "{mode:?}");
-            assert_eq!(warm.stdout, cold.stdout, "{mode:?}");
-            assert_eq!(warm.result_txt, cold.result_txt, "{mode:?}");
-            assert_eq!(warm.view(), cold.view(), "{mode:?}");
-            assert_eq!(
-                warm.energy.package_j.to_bits(),
-                cold.energy.package_j.to_bits(),
-                "{mode:?}"
-            );
         }
     }
 

@@ -76,21 +76,27 @@ fn corpus_profile_is_bit_identical_across_engines() {
 
 /// Same comparison with telemetry on: the masked Chrome trace (span
 /// tree, names, sequence — everything except wall-clock/energy noise)
-/// must be identical under both engines.
+/// must be identical under all three engines. Each run records into its
+/// own tracer through an outer track guard, so spans of tests running
+/// beside this one never land in its trace.
 #[test]
 fn masked_trace_is_identical_across_engines() {
-    let tracer = jepo_trace::Tracer::global();
-    tracer.enable();
     let mut masked = Vec::new();
     for dispatch in [Dispatch::Legacy, Dispatch::Decoded, Dispatch::Ir] {
-        tracer.clear();
-        let _report = profile_with(dispatch);
+        let tracer = jepo_trace::Tracer::new();
+        tracer.enable();
+        {
+            let _track = tracer.track("test");
+            let _report = profile_with(dispatch);
+        }
         let json = tracer.export_chrome(false);
         jepo_trace::validate::validate_chrome(&json).expect("trace validates");
+        for span in ["profile/run", "vm/main"] {
+            let name = format!("\"name\":\"{span}\"");
+            assert!(json.contains(&name), "{dispatch:?}: no `{span}` span");
+        }
         masked.push(jepo_trace::validate::masked_content(&json));
     }
-    tracer.disable();
-    tracer.clear();
     assert_eq!(masked[0], masked[1], "masked trace diverged (decoded)");
     assert_eq!(masked[0], masked[2], "masked trace diverged (ir)");
 }

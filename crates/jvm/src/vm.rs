@@ -59,9 +59,8 @@ pub struct Vm {
     fuel: u64,
     dispatch: Dispatch,
     /// Lazily built pre-decoded form; invalidated when the program's
-    /// bytecode changes (instrumentation). `Arc` so a long-lived
-    /// service can build it once per program and share it across
-    /// concurrent VMs ([`Vm::from_prepared`]).
+    /// bytecode changes (instrumentation). `Arc` so VMs of one program
+    /// can share it ([`Vm::from_prepared`]).
     decoded: Option<Arc<DecodedProgram>>,
     /// Lazily built register-IR form (requires `decoded`); invalidated
     /// alongside it.
@@ -95,12 +94,12 @@ impl Vm {
     }
 
     /// Wrap an already-compiled program together with its pre-built
-    /// shared execution forms — the profiling-as-a-service hot path.
+    /// execution forms, so a run skips decode and IR lowering.
     ///
     /// Contract: `decoded` (and `ir`, when given) must have been built
     /// from exactly this `program` bytes, in the same instrumentation
-    /// state; [`Vm::shared_forms`] on a throwaway VM of the same program
-    /// is the supported producer. A later [`Vm::instrument`] call
+    /// state; [`Vm::shared_forms`] on another VM of the same program is
+    /// the supported producer. A later [`Vm::instrument`] call
     /// invalidates the shared forms and falls back to a private rebuild.
     /// `_instrumented` is the caller's record of that state; the VM reads
     /// the probes from the bytecode itself and does not consult it.

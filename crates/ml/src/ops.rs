@@ -58,9 +58,6 @@ pub struct EfficiencyProfile {
     pub static_counters: bool,
     /// `%` hashing vs bitmask (Table I: arithmetic operators).
     pub modulus_hash: bool,
-    /// `compareTo` vs `equals` for label comparisons (Table I: string
-    /// comparison).
-    pub compare_to: bool,
     /// Ternary-operator-style selects vs branches (Table I: ternary).
     pub ternary_selects: bool,
 }
@@ -75,7 +72,6 @@ impl EfficiencyProfile {
             builder_strings: false,
             static_counters: true,
             modulus_hash: true,
-            compare_to: true,
             ternary_selects: true,
         }
     }
@@ -89,7 +85,6 @@ impl EfficiencyProfile {
             builder_strings: true,
             static_counters: false,
             modulus_hash: false,
-            compare_to: false,
             ternary_selects: false,
         }
     }
@@ -106,7 +101,6 @@ impl EfficiencyProfile {
             "builder_strings" => p.builder_strings = b.builder_strings,
             "static_counters" => p.static_counters = b.static_counters,
             "modulus_hash" => p.modulus_hash = b.modulus_hash,
-            "compare_to" => p.compare_to = b.compare_to,
             "ternary_selects" => p.ternary_selects = b.ternary_selects,
             _ => panic!("unknown ablation dimension `{dim}`"),
         }
@@ -114,14 +108,13 @@ impl EfficiencyProfile {
     }
 
     /// Names accepted by [`EfficiencyProfile::optimized_except`].
-    pub const DIMENSIONS: [&'static str; 8] = [
+    pub const DIMENSIONS: [&'static str; 7] = [
         "precision",
         "layout",
         "bulk_copy",
         "builder_strings",
         "static_counters",
         "modulus_hash",
-        "compare_to",
         "ternary_selects",
     ];
 }
@@ -548,7 +541,6 @@ mod tests {
         assert_ne!(b.builder_strings, o.builder_strings);
         assert_ne!(b.static_counters, o.static_counters);
         assert_ne!(b.modulus_hash, o.modulus_hash);
-        assert_ne!(b.compare_to, o.compare_to);
         assert_ne!(b.ternary_selects, o.ternary_selects);
     }
 

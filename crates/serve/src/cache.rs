@@ -1,6 +1,6 @@
 //! The daemon's shared hot cache.
 //!
-//! Four layers, all keyed by content so identical bytes are never
+//! Three layers, all keyed by content so identical bytes are never
 //! re-processed, and all shared across worker threads:
 //!
 //! 1. **Parse cache** — `(file name, text)` content hash → parsed
@@ -9,19 +9,18 @@
 //! 2. **Analysis cache** — the incremental per-file analyzer cache
 //!    (PR 8), shared across requests so any file seen before, in any
 //!    corpus, is an analyzer cache hit.
-//! 3. **Prepared-program cache** — corpus content hash →
-//!    [`PreparedProgram`] (compiled, probe-injected, decoded and
-//!    IR-lowered forms). Warm profile requests skip straight to
-//!    execution.
-//! 4. **Response memo** — canonical request bytes → full response
+//! 3. **Response memo** — canonical request bytes → full response
 //!    body. A repeat of an identical request is served from memory;
 //!    this is what the `"cache":"warm"` flag on the done event means.
+//!
+//! A `profile` request that misses the memo compiles, instruments and
+//! lowers its corpus afresh: compiled programs are not kept, so one that
+//! differs from an earlier request only in its parameters recompiles.
 //!
 //! Everything cached is immutable once inserted (`Arc`s are handed
 //! out), so readers never see partial state; correctness is proven by
 //! the warm-equals-cold byte-identity tests.
 
-use jepo_core::PreparedProgram;
 use jepo_jlang::{JavaProject, SourceFile};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,25 +45,11 @@ impl ContentKey {
     /// alias).
     pub fn of_file(name: &str, body: &str) -> ContentKey {
         let mut buf = Vec::with_capacity(name.len() + body.len() + 16);
-        push_file(&mut buf, name, body);
+        buf.extend_from_slice(format!("{} {}\n", name.len(), body.len()).as_bytes());
+        buf.extend_from_slice(name.as_bytes());
+        buf.extend_from_slice(body.as_bytes());
         ContentKey::of(&buf)
     }
-
-    /// Hash a sequence of named byte strings (order-sensitive,
-    /// length-prefixed so concatenation cannot alias).
-    pub fn of_files(files: &[(String, String)]) -> ContentKey {
-        let mut buf = Vec::new();
-        for (name, body) in files {
-            push_file(&mut buf, name, body);
-        }
-        ContentKey::of(&buf)
-    }
-}
-
-fn push_file(buf: &mut Vec<u8>, name: &str, body: &str) {
-    buf.extend_from_slice(format!("{} {}\n", name.len(), body.len()).as_bytes());
-    buf.extend_from_slice(name.as_bytes());
-    buf.extend_from_slice(body.as_bytes());
 }
 
 /// Hit/miss counters for one cache layer.
@@ -99,11 +84,9 @@ pub struct HotCache {
     /// analyzer is stateless; the cache accumulates per-file results
     /// across every request the daemon has served.
     analysis: Mutex<(jepo_analyzer::Analyzer, jepo_analyzer::AnalysisCache)>,
-    prepared: Mutex<HashMap<ContentKey, Arc<PreparedProgram>>>,
     memo: Mutex<HashMap<ContentKey, Arc<String>>>,
-    /// Per-layer hit/miss counters: parse, prepared, memo.
+    /// Per-layer hit/miss counters: parse, memo.
     pub parse_stats: LayerStats,
-    pub prepared_stats: LayerStats,
     pub memo_stats: LayerStats,
 }
 
@@ -121,10 +104,8 @@ impl HotCache {
         HotCache {
             parse: Mutex::new(HashMap::new()),
             analysis: Mutex::new((analyzer, cache)),
-            prepared: Mutex::new(HashMap::new()),
             memo: Mutex::new(HashMap::new()),
             parse_stats: LayerStats::default(),
-            prepared_stats: LayerStats::default(),
             memo_stats: LayerStats::default(),
         }
     }
@@ -161,25 +142,6 @@ impl HotCache {
         suggestions
     }
 
-    /// Fetch or build the shared compiled forms of a corpus for
-    /// profiling.
-    pub fn prepared(
-        &self,
-        key: ContentKey,
-        build: impl FnOnce() -> Result<PreparedProgram, String>,
-    ) -> Result<Arc<PreparedProgram>, String> {
-        let cached = self.prepared.lock().unwrap().get(&key).cloned();
-        self.prepared_stats.record(cached.is_some());
-        if let Some(p) = cached {
-            return Ok(p);
-        }
-        let built = Arc::new(build()?);
-        // Racing builders both insert identical (deterministic) forms;
-        // last write wins and either value is correct.
-        self.prepared.lock().unwrap().insert(key, built.clone());
-        Ok(built)
-    }
-
     /// Look up a memoized full response for canonical request bytes.
     pub fn memo_get(&self, key: ContentKey) -> Option<Arc<String>> {
         let hit = self.memo.lock().unwrap().get(&key).cloned();
@@ -203,11 +165,10 @@ mod tests {
     #[test]
     fn content_key_distinguishes_file_splits() {
         // Same concatenated bytes, different file boundaries.
-        let a = ContentKey::of_files(&[("ab".into(), "c".into())]);
-        let b = ContentKey::of_files(&[("a".into(), "bc".into())]);
+        let a = ContentKey::of_file("ab", "c");
+        let b = ContentKey::of_file("a", "bc");
         assert_ne!(a, b);
-        let c = ContentKey::of_files(&[("ab".into(), "c".into())]);
-        assert_eq!(a, c);
+        assert_eq!(a, ContentKey::of_file("ab", "c"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper's tool runs as an IDE plugin; production energy gates
 //! (CI loops, review bots) instead call a long-lived daemon whose cost
-//! per request is dominated by the *work*, not by re-parsing and
-//! re-compiling the same corpus on every invocation. This crate is
+//! per request is dominated by the *work*, not by starting a process
+//! and re-parsing the same corpus on every invocation. This crate is
 //! that daemon plus its protocol:
 //!
 //! - [`codec`] — hardened length-prefixed framing and the
@@ -13,8 +13,8 @@
 //!   `table4`) rendered byte-identically to the CLI, which calls the
 //!   same functions.
 //! - [`cache`] — the shared hot cache: parsed ASTs, the incremental
-//!   analyzer cache, prepared (compiled/decoded/IR) programs, and a
-//!   full-response memo, all keyed by content hash.
+//!   analyzer cache and a full-response memo, all keyed by content
+//!   hash.
 //! - [`server`] — the `std::net` daemon: bounded queue over
 //!   `jepo-pool`, admission control, per-request spans, graceful
 //!   drain on `shutdown`.

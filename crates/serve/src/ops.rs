@@ -139,22 +139,6 @@ fn profile_body(report: &ProfileReport) -> String {
     out
 }
 
-/// Parse a profiling mode from request parameters.
-fn profile_mode(req: &Request) -> Result<ProfilingMode, OpError> {
-    let interval_us = match req.param("interval") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| OpError::BadRequest(format!("bad interval: {v}")))?,
-        None => 100u64,
-    };
-    match req.param("mode") {
-        None | Some("instrumented") => Ok(ProfilingMode::Instrumented),
-        Some("sampling") => Ok(ProfilingMode::Sampling { interval_us }),
-        Some("both") => Ok(ProfilingMode::Both { interval_us }),
-        Some(other) => Err(OpError::BadRequest(format!("unknown mode: {other}"))),
-    }
-}
-
 fn usize_param(req: &Request, key: &str, default: usize) -> Result<usize, OpError> {
     match req.param(key) {
         Some(v) => v
@@ -208,17 +192,13 @@ fn execute_cold(req: &Request, cache: &HotCache) -> Result<String, OpError> {
             Ok(table4_render(instances, folds, 1))
         }
         "profile" => {
-            let mode = profile_mode(req)?;
+            let mode = ProfilingMode::parse(req.param("mode"), req.param("interval"))
+                .map_err(OpError::BadRequest)?;
             let project = project_from(req, cache)?;
             let mut profiler = JepoProfiler::new().with_mode(mode);
             profiler.chosen_main = req.param("main").map(str::to_string);
-            let key = ContentKey::of_files(&req.files);
-            let prepared = cache.prepared(key, || {
-                profiler.prepare(&project).map_err(|e| e.to_string())
-            });
-            let prepared = prepared.map_err(OpError::Internal)?;
             let report = profiler
-                .profile_prepared(&project, Some(&prepared))
+                .profile(&project)
                 .map_err(|e| OpError::Internal(e.to_string()))?;
             Ok(profile_body(&report))
         }
@@ -299,6 +279,16 @@ mod tests {
         let mut req = Request::new("profile");
         req.files = vec![("A.java".into(), "class A { void f() { } }".into())];
         // No main class: an internal (run-time) error, still structured.
-        assert!(execute(&req, &cache).is_err());
+        assert!(matches!(execute(&req, &cache), Err(OpError::Internal(_))));
+        // An unknown mode or an unparsable interval is the request's fault.
+        for (key, value) in [("mode", "bogus"), ("interval", "x")] {
+            let mut req = Request::new("profile");
+            req.files = corpus();
+            req.params.push((key.into(), value.into()));
+            assert!(
+                matches!(execute(&req, &cache), Err(OpError::BadRequest(_))),
+                "{key}={value}"
+            );
+        }
     }
 }

@@ -64,14 +64,12 @@ pub struct ServerStats {
 impl ServerStats {
     fn snapshot_json(&self, cache: &HotCache, workers: usize) -> String {
         let (p_h, p_m) = cache.parse_stats.get();
-        let (pp_h, pp_m) = cache.prepared_stats.get();
         let (m_h, m_m) = cache.memo_stats.get();
         format!(
             concat!(
                 "{{\"served\":{},\"errored\":{},\"rejected\":{},\"malformed\":{},",
                 "\"workers\":{},",
                 "\"parse_cache\":{{\"hits\":{},\"misses\":{}}},",
-                "\"prepared_cache\":{{\"hits\":{},\"misses\":{}}},",
                 "\"response_memo\":{{\"hits\":{},\"misses\":{}}}}}\n"
             ),
             self.served.load(Ordering::Relaxed),
@@ -81,8 +79,6 @@ impl ServerStats {
             workers,
             p_h,
             p_m,
-            pp_h,
-            pp_m,
             m_h,
             m_m,
         )
