@@ -45,8 +45,40 @@
 
 use jepo_core::{corpus, JepoOptimizer, JepoProfiler, ProfilingMode};
 use jepo_jlang::JavaProject;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once stdout's reader has gone; later report text is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write report text to stdout. A reader that closed the pipe early
+/// (`jepo analyze D | head -1`) ends the output, not the command: the
+/// rest of the text is dropped quietly and the command finishes with
+/// its own exit status, where `print!` would panic.
+fn emit(text: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -276,7 +308,7 @@ fn cmd_analyze(path: &Path, cache_dir: Option<&Path>) -> Result<(), String> {
     }
     // The daemon serves the same renderer's bytes (jepo-serve ops), so
     // warm served responses are identical to this output by construction.
-    print!(
+    out!(
         "{}",
         jepo_serve::ops::analyze_render(&suggestions, project.len())
     );
@@ -287,7 +319,7 @@ fn cmd_analyze(path: &Path, cache_dir: Option<&Path>) -> Result<(), String> {
 /// ordered by estimated cost per invocation (highest first).
 fn cmd_energy(path: &Path, top: usize) -> Result<(), String> {
     let project = load_project(path)?;
-    print!("{}", jepo_serve::ops::energy_render(&project, top));
+    out!("{}", jepo_serve::ops::energy_render(&project, top));
     Ok(())
 }
 
@@ -300,7 +332,7 @@ fn cmd_gen_corpus(dir: &Path, files: usize, seed: u64, rate: f64) -> Result<(), 
     };
     let n = jepo_analyzer::gen::write_corpus(dir, &cfg)
         .map_err(|e| format!("{}: {e}", dir.display()))?;
-    println!(
+    outln!(
         "Wrote {n} generated files under {} (seed {seed}, pattern rate {rate}).",
         dir.display()
     );
@@ -377,43 +409,44 @@ fn cmd_diff_energy(
     let removed_impact: f64 = removed.iter().map(|s| s.impact).sum::<f64>() + 0.0;
     let delta = added_impact - removed_impact;
 
-    println!("== jepo diff-energy ==");
-    println!(
+    outln!("== jepo diff-energy ==");
+    outln!(
         "A: {}  ({} files, {} suggestions)",
         dir_a.display(),
         project_a.len(),
         sug_a.len()
     );
-    println!(
+    outln!(
         "B: {}  ({} files, {} suggestions)",
         dir_b.display(),
         project_b.len(),
         sug_b.len()
     );
-    println!(
+    outln!(
         "incremental: B reused {} unchanged file(s) from A, re-analyzed {}",
-        stats.last_hits, stats.last_misses
+        stats.last_hits,
+        stats.last_misses
     );
     if added.is_empty() && removed.is_empty() {
-        println!("\nNo suggestion changes between revisions.");
+        outln!("\nNo suggestion changes between revisions.");
         return Ok(false);
     }
     if !added.is_empty() {
-        println!("\nadded suggestions (ranked by estimated impact):");
-        print!("{}", render_diff_rows(&added, '+'));
+        outln!("\nadded suggestions (ranked by estimated impact):");
+        out!("{}", render_diff_rows(&added, '+'));
     }
     if !removed.is_empty() {
-        println!("\nremoved suggestions:");
-        print!("{}", render_diff_rows(&removed, '-'));
+        outln!("\nremoved suggestions:");
+        out!("{}", render_diff_rows(&removed, '-'));
     }
-    println!(
+    outln!(
         "\nestimated energy-impact delta: {delta:+.1} (added {added_impact:.1}, removed {removed_impact:.1})"
     );
     let regression = delta > 0.0;
     if regression {
-        println!("REGRESSION: revision B is estimated to cost more energy than A.");
+        outln!("REGRESSION: revision B is estimated to cost more energy than A.");
     } else {
-        println!("No energy regression detected.");
+        outln!("No energy regression detected.");
     }
     Ok(regression)
 }
@@ -422,9 +455,9 @@ fn cmd_optimize(path: &Path, write: bool, aggressive: bool) -> Result<(), String
     let mut project = load_project(path)?;
     let optimizer = JepoOptimizer { aggressive };
     let report = optimizer.apply(&mut project);
-    println!("Applied {} changes:", report.total_changes);
+    outln!("Applied {} changes:", report.total_changes);
     for (file, n) in report.per_file.iter().filter(|(_, n)| *n > 0) {
-        println!("  {file}: {n}");
+        outln!("  {file}: {n}");
     }
     if write {
         let root = if path.is_file() {
@@ -440,11 +473,11 @@ fn cmd_optimize(path: &Path, write: bool, aggressive: bool) -> Result<(), String
             };
             std::fs::write(&target, &f.text).map_err(|e| format!("{}: {e}", target.display()))?;
         }
-        println!("Wrote refactored sources back to {}.", root.display());
+        outln!("Wrote refactored sources back to {}.", root.display());
     } else {
-        println!("(dry run — pass --write to rewrite the sources)");
+        outln!("(dry run — pass --write to rewrite the sources)");
     }
-    println!("{} suggestions remain.", report.remaining.len());
+    outln!("{} suggestions remain.", report.remaining.len());
     Ok(())
 }
 
@@ -457,7 +490,7 @@ fn cmd_profile(
     let mut profiler = JepoProfiler::new().with_mode(mode);
     profiler.chosen_main = chosen_main;
     let report = profiler.profile(&project).map_err(|e| e.to_string())?;
-    print!("{}", jepo_serve::ops::profile_render(&report));
+    out!("{}", jepo_serve::ops::profile_render(&report));
     // result.txt next to the project, as the plugin does (§VII).
     let root = if path.is_file() {
         path.parent().unwrap_or(path)
@@ -467,9 +500,9 @@ fn cmd_profile(
     let result_path = root.join("result.txt");
     std::fs::write(&result_path, &report.result_txt)
         .map_err(|e| format!("{}: {e}", result_path.display()))?;
-    println!("\nWrote {}.", result_path.display());
+    outln!("\nWrote {}.", result_path.display());
     if !report.stdout.is_empty() {
-        println!("\nprogram output:\n{}", report.stdout.trim_end());
+        outln!("\nprogram output:\n{}", report.stdout.trim_end());
     }
     Ok(())
 }
@@ -481,12 +514,12 @@ fn cmd_metrics(path: &Path, entries: &[String]) -> Result<(), String> {
     if metrics.is_empty() {
         return Err("no matching entry classes".into());
     }
-    print!("{}", jepo_core::report::table2(&metrics));
+    out!("{}", jepo_core::report::table2(&metrics));
     Ok(())
 }
 
 fn cmd_table4(instances: usize, folds: usize, jobs: usize) -> Result<(), String> {
-    print!("{}", jepo_serve::ops::table4_render(instances, folds, jobs));
+    out!("{}", jepo_serve::ops::table4_render(instances, folds, jobs));
     Ok(())
 }
 
@@ -495,30 +528,30 @@ fn cmd_table4(instances: usize, folds: usize, jobs: usize) -> Result<(), String>
 /// graceful stop always persists them.
 fn cmd_serve(config: jepo_serve::ServerConfig) -> Result<(), String> {
     let handle = jepo_serve::serve(config).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "jepo serve listening on {} ({} workers)",
         handle.addr(),
         handle.workers()
     );
     handle.join();
-    println!("jepo serve: drained and stopped.");
+    outln!("jepo serve: drained and stopped.");
     Ok(())
 }
 
 fn cmd_demo() -> Result<(), String> {
-    println!("== Optimizer over the bundled mini-WEKA ==\n");
+    outln!("== Optimizer over the bundled mini-WEKA ==\n");
     let project = corpus::shared_corpus();
     let suggestions = JepoOptimizer::new().suggestions(project);
-    println!(
+    outln!(
         "{} suggestions across {} classes.",
         suggestions.len(),
         project.class_count()
     );
-    println!("\n== Profiler over the runnable subset ==\n");
+    outln!("\n== Profiler over the runnable subset ==\n");
     let report = JepoProfiler::new()
         .profile(&corpus::runnable_project())
         .map_err(|e| e.to_string())?;
-    print!("{}", report.view());
+    out!("{}", report.view());
     Ok(())
 }
 

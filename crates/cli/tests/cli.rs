@@ -502,6 +502,17 @@ fn callee_only_edit_invalidates_cached_caller() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A spawned `jepo serve`, killed and reaped on drop: a failed assertion
+/// must not leave the daemon running with the test's output open.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// The daemon's cold and warm responses (analyze, energy, table4, and
 /// profile in every mode) are byte-identical to the real binary's
 /// stdout, and a `shutdown` request drains the daemon to a clean exit 0.
@@ -509,13 +520,15 @@ fn callee_only_edit_invalidates_cached_caller() {
 fn serve_daemon_matches_cli_bytes_and_drains_on_shutdown() {
     use std::io::BufRead;
     let dir = temp_project("serve");
-    let mut child = jepo()
-        .args(["serve", "--addr", "127.0.0.1:0", "--queue", "8"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut daemon = Daemon(
+        jepo()
+            .args(["serve", "--addr", "127.0.0.1:0", "--queue", "8"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
     // The first stdout line announces the bound address.
-    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut stdout = std::io::BufReader::new(daemon.0.stdout.take().unwrap());
     let mut banner = String::new();
     stdout.read_line(&mut banner).unwrap();
     let addr = banner
@@ -594,11 +607,50 @@ fn serve_daemon_matches_cli_bytes_and_drains_on_shutdown() {
 
     let resp = jepo_serve::request(&addr, &jepo_serve::Request::new("shutdown")).unwrap();
     assert!(resp.is_ok());
-    let status = child.wait().unwrap();
+    let status = daemon.0.wait().unwrap();
     assert!(status.success(), "serve must drain and exit 0: {status:?}");
     let mut rest = String::new();
     std::io::Read::read_to_string(&mut stdout, &mut rest).unwrap();
     assert!(rest.contains("drained and stopped"), "{rest}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes stdout early (`jepo analyze D | head -1`) ends
+/// the report, quietly: exit 0 and nothing on stderr. The 400-file
+/// corpus's report is far larger than a pipe's buffer, so the write
+/// after the close must fail.
+#[test]
+fn analyze_exits_quietly_when_stdout_closes() {
+    use std::io::BufRead;
+    let dir = std::env::temp_dir().join(format!("jepo-cli-pipe-{}", std::process::id()));
+    let out = jepo()
+        .args([
+            "gen-corpus",
+            dir.to_str().unwrap(),
+            "--files",
+            "400",
+            "--seed",
+            "3",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let mut child = jepo()
+        .args(["analyze", dir.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    // The reader, and with it the pipe's read end, drops after one line.
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!first.is_empty());
+    assert!(stderr.is_empty(), "{stderr}");
+    assert!(out.status.success(), "{:?}", out.status);
     fs::remove_dir_all(&dir).ok();
 }
 

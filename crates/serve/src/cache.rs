@@ -9,9 +9,10 @@
 //! 2. **Analysis cache** — the incremental per-file analyzer cache
 //!    (PR 8), shared across requests so any file seen before, in any
 //!    corpus, is an analyzer cache hit.
-//! 3. **Response memo** — canonical request bytes → full response
-//!    body. A repeat of an identical request is served from memory;
-//!    this is what the `"cache":"warm"` flag on the done event means.
+//! 3. **Response memo** — request payload bytes, as received → full
+//!    response body. A repeat of an identical request is served from
+//!    memory; this is what the `"cache":"warm"` flag on the done event
+//!    means. A hit hands out the stored `Arc`, never a copy.
 //!
 //! A `profile` request that misses the memo compiles, instruments and
 //! lowers its corpus afresh: compiled programs are not kept, so one that
@@ -26,19 +27,25 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// 128-bit content key (two independently-seeded FNV-1a passes) —
+/// 128-bit content key (two independently-seeded FNV-1a lanes) —
 /// collision odds are negligible at cache scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContentKey(u64, u64);
 
+/// Mixed into the FNV offset basis to seed the second lane.
+const SECOND_LANE: u64 = 0x9e37_79b9_7f4a_7c15;
+
 impl ContentKey {
-    /// Hash one byte string.
+    /// Hash one byte string. Both lanes advance in one pass over the
+    /// bytes, so their multiplies overlap instead of running in turn.
     pub fn of(bytes: &[u8]) -> ContentKey {
         use jepo_trace::{fnv1a, FNV_OFFSET};
-        ContentKey(
-            fnv1a(FNV_OFFSET, bytes.iter().copied()),
-            fnv1a(FNV_OFFSET ^ 0x9e3779b97f4a7c15, bytes.iter().copied()),
-        )
+        let (a, b) = bytes
+            .iter()
+            .fold((FNV_OFFSET, FNV_OFFSET ^ SECOND_LANE), |(a, b), &byte| {
+                (fnv1a(a, [byte]), fnv1a(b, [byte]))
+            });
+        ContentKey(a, b)
     }
 
     /// Hash one named file (length-prefixed so name/body bytes cannot
@@ -142,25 +149,41 @@ impl HotCache {
         suggestions
     }
 
-    /// Look up a memoized full response for canonical request bytes.
+    /// Look up a memoized full response for a request's payload bytes.
     pub fn memo_get(&self, key: ContentKey) -> Option<Arc<String>> {
         let hit = self.memo.lock().unwrap().get(&key).cloned();
         self.memo_stats.record(hit.is_some());
         hit
     }
 
-    /// Memoize a response body.
-    pub fn memo_put(&self, key: ContentKey, body: &str) {
-        self.memo
-            .lock()
-            .unwrap()
-            .insert(key, Arc::new(body.to_string()));
+    /// Memoize a response body and hand it back shared. The body is
+    /// trimmed to its length first: the memo lives as long as the daemon,
+    /// and a render's growth slack would stay with it.
+    pub fn memo_put(&self, key: ContentKey, mut body: String) -> Arc<String> {
+        body.shrink_to_fit();
+        let body = Arc::new(body);
+        self.memo.lock().unwrap().insert(key, Arc::clone(&body));
+        body
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn content_key_lanes_are_two_seeded_fnv1a_hashes() {
+        use jepo_trace::{fnv1a, FNV_OFFSET};
+        for bytes in [&b""[..], b"x", b"jepo1 analyze\nend\n"] {
+            assert_eq!(
+                ContentKey::of(bytes),
+                ContentKey(
+                    fnv1a(FNV_OFFSET, bytes.iter().copied()),
+                    fnv1a(FNV_OFFSET ^ SECOND_LANE, bytes.iter().copied()),
+                )
+            );
+        }
+    }
 
     #[test]
     fn content_key_distinguishes_file_splits() {
@@ -195,8 +218,13 @@ mod tests {
         let cache = HotCache::new();
         let key = ContentKey::of(b"request-bytes");
         assert!(cache.memo_get(key).is_none());
-        cache.memo_put(key, "the body");
-        assert_eq!(cache.memo_get(key).unwrap().as_str(), "the body");
+        let stored = cache.memo_put(key, "the body".to_string());
+        let hit = cache.memo_get(key).unwrap();
+        assert_eq!(hit.as_str(), "the body");
+        assert!(
+            Arc::ptr_eq(&hit, &stored),
+            "a hit must share the stored body"
+        );
         assert_eq!(cache.memo_stats.get(), (1, 1));
     }
 }

@@ -33,8 +33,19 @@ pub fn request(addr: &str, req: &Request) -> Result<Response, CodecError> {
 /// Send raw payload bytes as one frame and read the response — the
 /// hardening tests use this to deliver deliberately malformed payloads.
 pub fn raw_request(stream: &mut TcpStream, payload: &[u8]) -> Result<Response, CodecError> {
-    codec::write_frame(stream, payload).map_err(CodecError::Io)?;
-    stream.flush().map_err(CodecError::Io)?;
+    let sent = codec::write_frame(stream, payload).and_then(|()| stream.flush());
+    // A daemon that turns the connection away (`busy`) answers and closes
+    // without reading the request, so the send can fail with that answer
+    // already waiting: read it before reporting the send error.
+    match (read_response(stream), sent) {
+        (Ok(resp), _) => Ok(resp),
+        (Err(_), Err(e)) => Err(CodecError::Io(e)),
+        (Err(e), Ok(())) => Err(e),
+    }
+}
+
+/// Read events up to the terminal one.
+fn read_response(stream: &mut TcpStream) -> Result<Response, CodecError> {
     let mut body = String::new();
     loop {
         let frame = codec::read_frame(stream)?;

@@ -14,10 +14,12 @@
 //!   same functions.
 //! - [`cache`] — the shared hot cache: parsed ASTs, the incremental
 //!   analyzer cache and a full-response memo, all keyed by content
-//!   hash.
-//! - [`server`] — the `std::net` daemon: bounded queue over
-//!   `jepo-pool`, admission control, per-request spans, graceful
-//!   drain on `shutdown`.
+//!   hash (the memo by the request bytes as received).
+//! - [`server`] — the `std::net` daemon: an accept loop that blocks in
+//!   `accept` and retries its errors, bounded queue over `jepo-pool`,
+//!   admission control, per-request spans, one write per response, and
+//!   a graceful drain on `shutdown`, which wakes the blocked `accept`
+//!   by connecting to the daemon's own address.
 //! - [`client`] — a small blocking client for tests, the CLI and the
 //!   load generator.
 

@@ -10,6 +10,7 @@ use crate::cache::{ContentKey, HotCache};
 use crate::codec::Request;
 use jepo_core::{JepoProfiler, ProfileReport, ProfilingMode, WekaExperiment};
 use jepo_jlang::JavaProject;
+use std::sync::Arc;
 
 /// Structured operation failure, mapped onto error events by the
 /// server.
@@ -151,22 +152,35 @@ fn usize_param(req: &Request, key: &str, default: usize) -> Result<usize, OpErro
 /// Execute one request against the hot cache. Returns the response
 /// body and whether it came out of the response memo (`warm`).
 ///
+/// The memo key is the request's canonical encoding, which is the
+/// payload the daemon receives from every client that encodes with
+/// [`Request::encode`], so this entry point and the daemon share one
+/// memo.
+///
 /// The `shutdown`/`stats` control verbs are handled by the server, not
 /// here.
-pub fn execute(req: &Request, cache: &HotCache) -> Result<(String, bool), OpError> {
-    // Full-response memo first: identical request bytes replay the
-    // identical response. `ping` is excluded (it can sleep on purpose).
-    let memo_key = ContentKey::of(&req.encode());
-    let memoizable = req.verb != "ping";
-    if memoizable {
-        if let Some(body) = cache.memo_get(memo_key) {
-            return Ok((body.as_ref().clone(), true));
-        }
+pub fn execute(req: &Request, cache: &HotCache) -> Result<(Arc<String>, bool), OpError> {
+    execute_payload(req, &req.encode(), cache)
+}
+
+/// [`execute`] for a request decoded from `payload`, which keys the
+/// memo as received. A hit hands out the memoized body itself.
+pub(crate) fn execute_payload(
+    req: &Request,
+    payload: &[u8],
+    cache: &HotCache,
+) -> Result<(Arc<String>, bool), OpError> {
+    // Identical request bytes replay the identical response. `ping` is
+    // excluded (it can sleep on purpose).
+    let memo_key = (req.verb != "ping").then(|| ContentKey::of(payload));
+    if let Some(body) = memo_key.and_then(|key| cache.memo_get(key)) {
+        return Ok((body, true));
     }
     let body = execute_cold(req, cache)?;
-    if memoizable {
-        cache.memo_put(memo_key, &body);
-    }
+    let body = match memo_key {
+        Some(key) => cache.memo_put(key, body),
+        None => Arc::new(body),
+    };
     Ok((body, false))
 }
 
@@ -256,6 +270,36 @@ mod tests {
             assert!(warm_flag, "{verb}: repeat must be warm");
             assert_eq!(cold, warm, "{verb}: warm body must be byte-identical");
         }
+    }
+
+    /// The daemon keys the memo on the payload it read, the in-process
+    /// entry point on `Request::encode`: a body memoized through either
+    /// is a hit for the other, handed out as the same allocation.
+    #[test]
+    fn payload_and_request_keys_share_one_memo() {
+        let cache = HotCache::new();
+        let mut analyze = Request::new("analyze");
+        analyze.files = corpus();
+        let mut energy = Request::new("energy");
+        energy.files = corpus();
+        let received = |req: &Request| {
+            let payload = req.encode();
+            (Request::decode(&payload).unwrap(), payload)
+        };
+
+        let (decoded, payload) = received(&analyze);
+        let (served, warm) = execute_payload(&decoded, &payload, &cache).unwrap();
+        assert!(!warm, "first analyze must be cold");
+        let (replayed, warm) = execute(&analyze, &cache).unwrap();
+        assert!(warm, "execute must hit the body the daemon memoized");
+        assert!(Arc::ptr_eq(&served, &replayed));
+
+        let (replayed, warm) = execute(&energy, &cache).unwrap();
+        assert!(!warm, "first energy must be cold");
+        let (decoded, payload) = received(&energy);
+        let (served, warm) = execute_payload(&decoded, &payload, &cache).unwrap();
+        assert!(warm, "the daemon must hit the body execute memoized");
+        assert!(Arc::ptr_eq(&served, &replayed));
     }
 
     #[test]

@@ -2,23 +2,28 @@
 //! control, a bounded job queue over `jepo-pool`, per-request
 //! `jepo-trace` spans and a graceful drain.
 //!
-//! Connection model: one request per connection. The accept loop is
-//! the admission controller — every connection is `try_submit`ted to
-//! the bounded [`jepo_pool::TaskPool`]; when the queue is full the
-//! client gets a structured `busy` error immediately instead of
-//! unbounded queueing. A `shutdown` request stops admission, drains
-//! every accepted request to completion, flushes telemetry exporters,
-//! and lets [`ServerHandle::join`] return — no request is ever dropped
-//! mid-flight.
+//! Connection model: one request per connection. The accept loop blocks
+//! in `accept` and is the admission controller — every connection is
+//! `try_submit`ted to the bounded [`jepo_pool::TaskPool`]; when the queue
+//! is full the client gets a structured `busy` error immediately instead
+//! of unbounded queueing. An accept error is retried, never taken as a
+//! stop. A `shutdown` request (or [`ServerHandle::shutdown`]) sets the
+//! stop flag and then wakes the blocked `accept` by connecting to the
+//! daemon's own address; the loop ends at the first return from
+//! `accept` after that, drains every accepted request to completion,
+//! flushes telemetry exporters, and lets [`ServerHandle::join`] return —
+//! no request is ever dropped mid-flight. Every response leaves in one
+//! write.
 
 use crate::cache::HotCache;
 use crate::codec::{self, CodecError, Event, Request};
 use crate::ops::{self, OpError};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use jepo_trace::{Counter, Histogram, Registry};
+use std::io::{ErrorKind, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -85,13 +90,49 @@ impl ServerStats {
     }
 }
 
+/// How the daemon is told to stop: a flag, plus the address whose
+/// connection wakes the accept loop so it sees the flag.
+struct Stop {
+    requested: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Stop {
+    fn new(bound: SocketAddr) -> Stop {
+        // A listener on an unspecified IP (`0.0.0.0`, `::`) is reached
+        // through the loopback address of its family.
+        let mut wake = bound;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Stop {
+            requested: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    /// Set the flag, then connect once to wake `accept`. A failed wake
+    /// is harmless: the next connection of any kind ends the loop.
+    fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+
+    fn is_requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+}
+
 /// A running daemon. Dropping the handle does not stop it; send a
 /// `shutdown` request (or use [`ServerHandle::shutdown`]) and then
 /// [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
     workers: usize,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -109,7 +150,7 @@ impl ServerHandle {
     /// Ask the daemon to stop admitting work (same effect as a
     /// `shutdown` request).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.request();
     }
 
     /// Wait for the daemon to drain and exit.
@@ -125,8 +166,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let (_requested, workers, _cores) = jepo_pool::clamp_workers(config.workers);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Stop::new(addr));
     let cache = Arc::new(HotCache::new());
     let stats = Arc::new(ServerStats::default());
 
@@ -149,13 +189,17 @@ fn accept_loop(
     listener: TcpListener,
     config: ServerConfig,
     workers: usize,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     cache: Arc<HotCache>,
     stats: Arc<ServerStats>,
 ) {
     let pool = jepo_pool::TaskPool::new(workers, config.queue_depth);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.is_requested() {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
                 // The stream lives in a shared slot so the accept
@@ -190,10 +234,18 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+            // A signal, or a client that reset before it was accepted.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                ) => {}
+            // Out of descriptors, say: report it, and pause so the retry
+            // does not spin.
+            Err(e) => {
+                eprintln!("jepo serve: accept failed: {e}; retrying");
+                std::thread::sleep(Duration::from_millis(100));
             }
-            Err(_) => break,
         }
     }
     // Drain: every accepted job runs to completion before we return.
@@ -217,12 +269,64 @@ fn flush_telemetry(config: &ServerConfig) {
     }
 }
 
-/// Serve one connection: read a frame, decode, execute, stream events.
+/// The verbs the daemon names its per-request telemetry after. Every
+/// other verb counts as the last, `unknown`, so a client cannot mint
+/// metric names.
+const VERBS: [&str; 8] = [
+    "analyze", "energy", "profile", "table4", "ping", "stats", "shutdown", "unknown",
+];
+
+/// One verb's telemetry handles.
+struct VerbTelemetry {
+    span: String,
+    requests: Counter,
+    /// `None` for the control verbs, whose latency is not recorded.
+    latency_us: Option<Histogram>,
+}
+
+/// The handles for `verb`, resolved on its first request.
+fn verb_telemetry(verb: &str) -> &'static VerbTelemetry {
+    static RESOLVED: [OnceLock<VerbTelemetry>; VERBS.len()] =
+        [const { OnceLock::new() }; VERBS.len()];
+    let i = VERBS
+        .iter()
+        .position(|&v| v == verb)
+        .unwrap_or(VERBS.len() - 1);
+    RESOLVED[i].get_or_init(|| {
+        let verb = VERBS[i];
+        let registry = Registry::global();
+        VerbTelemetry {
+            span: format!("serve/{verb}"),
+            requests: registry.counter(&format!("serve.requests.{verb}")),
+            // µs buckets, powers of ~4.
+            latency_us: (!matches!(verb, "stats" | "shutdown")).then(|| {
+                registry.histogram(
+                    &format!("serve.latency_us.{verb}"),
+                    &[100, 400, 1_600, 6_400, 25_600, 102_400, 409_600, 1_638_400],
+                )
+            }),
+        }
+    })
+}
+
+/// The `serve.cache.warm` or `serve.cache.cold` counter.
+fn cache_counter(warm: bool) -> &'static Counter {
+    static RESOLVED: [OnceLock<Counter>; 2] = [const { OnceLock::new() }; 2];
+    RESOLVED[usize::from(warm)].get_or_init(|| {
+        Registry::global().counter(if warm {
+            "serve.cache.warm"
+        } else {
+            "serve.cache.cold"
+        })
+    })
+}
+
+/// Serve one connection: read a frame, decode, execute, send the events.
 fn handle_connection(
     mut stream: TcpStream,
     cache: &HotCache,
     stats: &ServerStats,
-    stop: &AtomicBool,
+    stop: &Stop,
     workers: usize,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
@@ -243,23 +347,14 @@ fn handle_connection(
             return;
         }
     };
-    let _span = jepo_trace::span(&format!("serve/{}", req.verb));
-    let counter = jepo_trace::Registry::global().counter(&format!("serve.requests.{}", req.verb));
-    counter.incr();
-    // Per-request latency histogram (µs buckets, powers of ~4). Timing
-    // feeds telemetry only, never a response body.
-    let t_start = std::time::Instant::now();
-    let observe_latency = |verb: &str| {
-        jepo_trace::Registry::global()
-            .histogram(
-                &format!("serve.latency_us.{verb}"),
-                &[100, 400, 1_600, 6_400, 25_600, 102_400, 409_600, 1_638_400],
-            )
-            .observe(t_start.elapsed().as_micros() as u64);
-    };
+    let telemetry = verb_telemetry(&req.verb);
+    let _span = jepo_trace::span(&telemetry.span);
+    telemetry.requests.incr();
+    // Timing feeds telemetry only, never a response body.
+    let t_start = Instant::now();
     match req.verb.as_str() {
         "shutdown" => {
-            stop.store(true, Ordering::SeqCst);
+            stop.request();
             stats.served.fetch_add(1, Ordering::Relaxed);
             respond_body(&mut stream, "shutting down\n", "cold");
         }
@@ -269,16 +364,10 @@ fn handle_connection(
             respond_body(&mut stream, &body, "cold");
         }
         _ => {
-            match ops::execute(&req, cache) {
+            match ops::execute_payload(&req, &payload, cache) {
                 Ok((body, warm)) => {
                     stats.served.fetch_add(1, Ordering::Relaxed);
-                    jepo_trace::Registry::global()
-                        .counter(if warm {
-                            "serve.cache.warm"
-                        } else {
-                            "serve.cache.cold"
-                        })
-                        .incr();
+                    cache_counter(warm).incr();
                     respond_body(&mut stream, &body, if warm { "warm" } else { "cold" });
                 }
                 Err(OpError::BadRequest(m)) => {
@@ -290,18 +379,15 @@ fn handle_connection(
                     respond_error(&mut stream, "internal", &m);
                 }
             }
-            observe_latency(&req.verb);
+            if let Some(latency_us) = &telemetry.latency_us {
+                latency_us.observe(t_start.elapsed().as_micros() as u64);
+            }
         }
     }
 }
 
 fn respond_body(stream: &mut TcpStream, body: &str, cache: &str) {
-    for ev in codec::body_events(body, cache) {
-        if codec::write_frame(stream, ev.encode().as_bytes()).is_err() {
-            return;
-        }
-    }
-    let _ = stream.flush();
+    respond(stream, &codec::body_events(body, cache));
 }
 
 fn respond_error(stream: &mut TcpStream, code: &str, message: &str) {
@@ -309,6 +395,16 @@ fn respond_error(stream: &mut TcpStream, code: &str, message: &str) {
         code: code.to_string(),
         message: message.to_string(),
     };
-    let _ = codec::write_frame(stream, ev.encode().as_bytes());
-    let _ = stream.flush();
+    respond(stream, &[ev]);
+}
+
+/// Frame every event into one buffer and send it with one write, so a
+/// small response leaves as one segment under `TCP_NODELAY`.
+fn respond(stream: &mut TcpStream, events: &[Event]) {
+    let mut frames = Vec::new();
+    for ev in events {
+        // Writing into a `Vec` cannot fail.
+        let _ = codec::write_frame(&mut frames, ev.encode().as_bytes());
+    }
+    let _ = stream.write_all(&frames);
 }

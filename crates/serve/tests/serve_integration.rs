@@ -77,6 +77,7 @@ fn warm_responses_match_cold_cli_bytes_under_concurrency() {
                 jepo_serve::ops::execute(r, &fresh)
                     .expect("reference run")
                     .0
+                    .to_string()
             })
             .collect()
     };
@@ -231,6 +232,62 @@ fn rendezvous_queue_answers_the_first_request() {
     // return to idle and be bounced, which is what depth 0 means.
     handle.shutdown();
     handle.join();
+}
+
+/// `ServerHandle::shutdown` wakes a daemon blocked in `accept` that no
+/// client ever reached, whether it listens on a specific IP or on an
+/// unspecified one (woken through loopback).
+#[test]
+fn handle_shutdown_stops_an_untouched_daemon() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle = jepo_serve::serve(ServerConfig {
+            addr: addr.to_string(),
+            ..Default::default()
+        })
+        .expect("bind test daemon");
+        handle.shutdown();
+        // Join on another thread, so a missed wake fails the test
+        // instead of hanging it.
+        let (joined, done) = std::sync::mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            handle.join();
+            let _ = joined.send(());
+        });
+        assert!(
+            done.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "{addr}: the daemon did not stop within 5 s of shutdown"
+        );
+        joiner.join().expect("join thread");
+    }
+}
+
+/// A client's verb never names a metric: unknown verbs are answered with
+/// `bad-request` and counted together under `serve.requests.unknown`.
+#[test]
+fn unknown_verbs_share_one_metric() {
+    let registry = jepo_trace::Registry::global();
+    let unknown = registry.counter("serve.requests.unknown");
+    let before = unknown.value();
+    let handle = boot(16);
+    let addr = handle.addr().to_string();
+    let verbs: Vec<String> = (0..50).map(|i| format!("no-such-verb-{i}")).collect();
+    for verb in &verbs {
+        let resp = client::request(&addr, &Request::new(verb)).expect("unknown verb answered");
+        assert_eq!(
+            resp.error.as_ref().map(|(c, _)| c.as_str()),
+            Some("bad-request"),
+            "{verb}"
+        );
+    }
+    shutdown_and_join(&addr, handle);
+    for metric in registry.snapshot() {
+        assert!(
+            !verbs.iter().any(|v| metric.name.contains(v.as_str())),
+            "a client's verb named the metric {}",
+            metric.name
+        );
+    }
+    assert!(unknown.value() - before >= verbs.len() as u64);
 }
 
 /// Satellite: malformed input — garbage payloads, oversized prefixes,
