@@ -138,7 +138,7 @@ fn outcomes_identical(l: &RunOutcome, d: &RunOutcome) -> Vec<String> {
 /// Bitwise profiler report comparison: the end-to-end selfcheck gate.
 fn reports_identical(l: &ProfileReport, d: &ProfileReport, tag: &str) -> Vec<String> {
     let mut diffs = Vec::new();
-    if l.result_txt != d.result_txt {
+    if l.render_result_txt() != d.render_result_txt() {
         diffs.push(format!("profiler result.txt ({tag})"));
     }
     if l.stdout != d.stdout {

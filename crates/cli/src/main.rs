@@ -498,7 +498,7 @@ fn cmd_profile(
         path
     };
     let result_path = root.join("result.txt");
-    std::fs::write(&result_path, &report.result_txt)
+    std::fs::write(&result_path, report.render_result_txt())
         .map_err(|e| format!("{}: {e}", result_path.display()))?;
     outln!("\nWrote {}.", result_path.display());
     if !report.stdout.is_empty() {

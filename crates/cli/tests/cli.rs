@@ -85,23 +85,66 @@ fn optimize_dry_run_then_write() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `result.txt` takes the shape of the mode: one line per execution
+/// when probes ran (instrumented and both), one line per sampled method
+/// in sampling mode.
 #[test]
 fn profile_runs_and_writes_result_txt() {
     let dir = temp_project("profile");
-    let out = jepo()
-        .args(["profile", dir.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Calc.mod"), "{stdout}");
-    assert!(stdout.contains("Energy Consumed"), "{stdout}");
-    let result = fs::read_to_string(dir.join("result.txt")).unwrap();
-    assert!(result.lines().count() >= 500, "one line per execution");
+    let path = dir.to_str().unwrap();
+    for (args, view_col, per_execution) in [
+        (vec!["profile", path], "Energy Consumed", true),
+        (
+            vec!["profile", path, "--mode", "sampling", "--interval", "1"],
+            "Self Samples",
+            false,
+        ),
+        (
+            vec!["profile", path, "--mode", "both", "--interval", "1"],
+            "Agreement",
+            true,
+        ),
+    ] {
+        fs::remove_file(dir.join("result.txt")).ok();
+        let out = jepo().args(&args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("Calc.mod"), "{args:?}: {stdout}");
+        assert!(stdout.contains(view_col), "{args:?}: {stdout}");
+        let result = fs::read_to_string(dir.join("result.txt")).unwrap();
+        let lines: Vec<&str> = result.lines().collect();
+        if per_execution {
+            // main, pick, and 499 calls of mod.
+            assert_eq!(lines.len(), 501, "{args:?}: one line per execution");
+            let mods = lines
+                .iter()
+                .filter(|l| l.starts_with("Calc.mod\texecution "));
+            assert_eq!(mods.count(), 499, "{args:?}");
+            for l in &lines {
+                assert!(
+                    l.contains("\texecution ") && l.contains(" J"),
+                    "{args:?}: {l}"
+                );
+            }
+        } else {
+            // One line per sampled method, no executions.
+            assert!(!lines.is_empty(), "{args:?}: no sampled method");
+            assert!(
+                lines.iter().any(|l| l.starts_with("Main.main\t")),
+                "{result}"
+            );
+            for l in &lines {
+                assert!(
+                    l.contains("\tself samples ") && l.contains("\tcalibrated "),
+                    "{l}"
+                );
+            }
+        }
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

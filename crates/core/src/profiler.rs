@@ -3,8 +3,10 @@
 //! Flow, exactly as the paper describes it: search the project for main
 //! classes (one → proceed; several → the caller chooses, as the Eclipse
 //! dialog does); inject energy/time probes into every method; run the
-//! main class; store per-execution measurements for every method; write
-//! `result.txt`; show the profiler view (Fig. 4).
+//! main class; store per-execution measurements for every method; show
+//! the profiler view (Fig. 4). Writing `result.txt` is the caller's step:
+//! `jepo profile` renders it with [`ProfileReport::render_result_txt`],
+//! and the daemon, which never sends it, does not.
 
 use crate::views;
 use jepo_jlang::{JavaProject, MainClassChoice};
@@ -87,7 +89,8 @@ pub struct SampledProfile {
     pub calibrated_total_j: f64,
 }
 
-/// Result of a profiling run.
+/// Result of a profiling run: everything the profiler view and
+/// `result.txt` are rendered from.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
     /// Which main class ran.
@@ -106,7 +109,8 @@ pub struct ProfileReport {
     pub stdout: String,
     /// Whole-run energy.
     pub energy: jepo_rapl::Measurement,
-    /// `result.txt` contents.
+    /// Always empty from [`JepoProfiler::profile`]: render `result.txt`
+    /// with [`ProfileReport::render_result_txt`] where it is written.
     pub result_txt: String,
 }
 
@@ -122,6 +126,16 @@ impl ProfileReport {
                 views::sampling_view(&s.records, s.samples, s.dropped, s.calibration_j)
             }
             _ => views::profiler_view(&self.records),
+        }
+    }
+
+    /// The `result.txt` contents, dispatched by mode like
+    /// [`ProfileReport::view`]: one line per sampled method in
+    /// `Sampling`, one line per recorded execution otherwise.
+    pub fn render_result_txt(&self) -> String {
+        match (&self.mode, &self.sampled) {
+            (ProfilingMode::Sampling { .. }, Some(s)) => views::sampling_result_txt(&s.records),
+            _ => views::result_txt(&self.records),
         }
     }
 }
@@ -243,7 +257,8 @@ impl JepoProfiler {
 
     /// Profile a project end to end: discover the main class, prepare
     /// the VMs the mode runs, run the instrumented leg and then the
-    /// sampling leg, and fold each into the report.
+    /// sampling leg, and fold each into the report. `result.txt` is not
+    /// rendered here ([`ProfileReport::render_result_txt`]).
     pub fn profile(&self, project: &JavaProject) -> Result<ProfileReport, VmError> {
         let _track = jepo_trace::would_trace().then(|| jepo_trace::track("profile"));
         // Main-class discovery per §VII.
@@ -276,10 +291,6 @@ impl JepoProfiler {
                 .sampling
                 .expect("a sampling-only profile prepares the plain program");
             let (sampled, out) = self.run_sampling(vm, interval_us)?;
-            let result_txt = {
-                let _s = jepo_trace::span("profile/report");
-                views::sampling_result_txt(&sampled.records)
-            };
             return Ok(ProfileReport {
                 main_class,
                 mode: self.mode,
@@ -288,7 +299,7 @@ impl JepoProfiler {
                 sampled: Some(sampled),
                 stdout: out.stdout,
                 energy: out.energy,
-                result_txt,
+                result_txt: String::new(),
             });
         };
         // Instrumented leg (also the ground truth for `Both`).
@@ -296,11 +307,9 @@ impl JepoProfiler {
             let _s = jepo_trace::span("profile/run");
             vm.run_main()?
         };
-        let (records, result_txt) = {
+        let records = {
             let _s = jepo_trace::span("profile/report");
-            let records = Vm::aggregate_profile(&out.profile);
-            let result_txt = views::result_txt(&records);
-            (records, result_txt)
+            Vm::aggregate_profile(&out.profile)
         };
         let sampled = match prepared.sampling {
             Some((vm, interval_us)) => Some(self.run_sampling(vm, interval_us)?.0),
@@ -314,7 +323,7 @@ impl JepoProfiler {
             sampled,
             stdout: out.stdout,
             energy: out.energy,
-            result_txt,
+            result_txt: String::new(),
         })
     }
 }
@@ -358,7 +367,10 @@ mod tests {
         assert_eq!(report.records[0].name, "Main.main");
         // result.txt has one line per execution.
         let total_execs: u64 = report.records.iter().map(|r| r.executions).sum();
-        assert_eq!(report.result_txt.lines().count() as u64, total_execs);
+        assert_eq!(
+            report.render_result_txt().lines().count() as u64,
+            total_execs
+        );
         // Fig. 4 view renders.
         let view = report.view();
         assert!(view.contains("Energy Consumed"));
@@ -432,7 +444,7 @@ mod tests {
         let view = report.view();
         assert!(view.contains("sampling profiler view"), "{view}");
         assert!(view.contains("Calibrated Energy"), "{view}");
-        assert!(report.result_txt.contains("self samples"));
+        assert!(report.render_result_txt().contains("self samples"));
     }
 
     #[test]
@@ -473,7 +485,7 @@ mod tests {
                                 .with_mode(ProfilingMode::Sampling { interval_us: 10 })
                                 .profile(&corpus::runnable_project())
                                 .unwrap();
-                            format!("{}{}", report.view(), report.result_txt)
+                            format!("{}{}", report.view(), report.render_result_txt())
                         })
                     })
                     .collect();

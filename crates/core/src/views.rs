@@ -250,18 +250,19 @@ pub fn optimizer_view(suggestions: &[Suggestion]) -> String {
 }
 
 /// The `result.txt` content the profiler writes into the project
-/// directory (§VII): one line per method execution.
+/// directory (§VII): one line per method execution, each written
+/// straight into the one buffer.
 pub fn result_txt(records: &[MethodEnergyRecord]) -> String {
+    use std::fmt::Write;
     let mut out = String::new();
     for r in records {
         for (i, (j, s)) in r.per_execution.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\texecution {}\ttime {:.6} s\tenergy {:.6} J\n",
+            let _ = writeln!(
+                out,
+                "{}\texecution {}\ttime {s:.6} s\tenergy {j:.6} J",
                 r.name,
-                i + 1,
-                s,
-                j
-            ));
+                i + 1
+            );
         }
     }
     out

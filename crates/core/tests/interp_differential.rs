@@ -4,11 +4,12 @@
 //! pre-decoded, register-IR), the masked telemetry trace must match,
 //! and the Table IV report text must be invariant across `--jobs` —
 //! the optimized engines are only allowed to be *faster*, never
-//! *different*.
+//! *different*. The `*_pinned` tests also hold every engine to fixed
+//! bits, so a change common to all three cannot move one either.
 
 use jepo_core::corpus;
 use jepo_core::report;
-use jepo_core::{ClassifierResult, JepoProfiler, ProfileReport, WekaExperiment};
+use jepo_core::{ClassifierResult, JepoProfiler, ProfileReport, ProfilingMode, WekaExperiment};
 use jepo_jvm::Dispatch;
 
 fn profile_with(dispatch: Dispatch) -> ProfileReport {
@@ -22,7 +23,11 @@ fn assert_reports_identical(l: &ProfileReport, d: &ProfileReport) {
     assert_eq!(l.main_class, d.main_class);
     assert_eq!(l.probes_injected, d.probes_injected);
     assert_eq!(l.stdout, d.stdout, "program stdout diverged");
-    assert_eq!(l.result_txt, d.result_txt, "result.txt diverged");
+    assert_eq!(
+        l.render_result_txt(),
+        d.render_result_txt(),
+        "result.txt diverged"
+    );
     assert_eq!(l.view(), d.view(), "Fig. 4 profiler view diverged");
     for (name, a, b) in [
         ("package_j", l.energy.package_j, d.energy.package_j),
@@ -149,4 +154,180 @@ fn small_table4_report_is_jobs_invariant() {
     assert_eq!(texts[0], texts[1], "jobs=1 vs jobs=2");
     assert_eq!(texts[0], texts[2], "jobs=1 vs jobs=4");
     assert!(texts[0].contains("Naive Bayes"), "report has rows");
+}
+
+// ---- pins across commits -------------------------------------------------
+//
+// The comparisons above hold the engines to each other, so a change
+// common to all three passes them whatever it does to the bits. These
+// hold every engine to fixed values, measured before the probe path's
+// last rewrite: a probe change must leave every energy bit where it was.
+
+/// What an instrumented run must reproduce bit for bit.
+struct RunPin {
+    package_j: u64,
+    core_j: u64,
+    uncore_j: u64,
+    dram_j: u64,
+    seconds: u64,
+    /// The simulated device's package counter after the run.
+    device_package_j: u64,
+    ops: u64,
+    events: usize,
+    /// [`event_hash`] of the run's profile events.
+    event_hash: u64,
+}
+
+/// FNV-1a over the events, each rendered as
+/// `"{method} {name} {package_j bits:x} {core_j bits:x} {seconds bits:x}\n"`.
+fn event_hash(events: &[jepo_jvm::interp::ProfileEvent]) -> u64 {
+    events.iter().fold(jepo_trace::FNV_OFFSET, |h, e| {
+        let line = format!(
+            "{} {} {:x} {:x} {:x}\n",
+            e.method,
+            e.name,
+            e.package_j.to_bits(),
+            e.core_j.to_bits(),
+            e.seconds.to_bits()
+        );
+        jepo_trace::fnv1a(h, line.bytes())
+    })
+}
+
+/// Instrument `build()`'s program, run it on every engine, and hold
+/// each run to `pin`.
+fn assert_run_pinned(build: impl Fn() -> jepo_jvm::Vm, pin: &RunPin) {
+    for dispatch in [Dispatch::Legacy, Dispatch::Decoded, Dispatch::Ir] {
+        let mut vm = build().with_dispatch(dispatch);
+        vm.instrument();
+        let out = vm.run_main().expect("pinned program runs");
+        let device = vm.device().read_joules(jepo_rapl::Domain::Package);
+        let seen = [
+            ("package_j", out.energy.package_j.to_bits(), pin.package_j),
+            ("core_j", out.energy.core_j.to_bits(), pin.core_j),
+            ("uncore_j", out.energy.uncore_j.to_bits(), pin.uncore_j),
+            ("dram_j", out.energy.dram_j.to_bits(), pin.dram_j),
+            ("seconds", out.energy.seconds.to_bits(), pin.seconds),
+            ("device package_j", device.to_bits(), pin.device_package_j),
+            ("event hash", event_hash(&out.profile), pin.event_hash),
+        ];
+        for (name, got, want) in seen {
+            assert_eq!(
+                got, want,
+                "{dispatch:?}: `{name}` {got:#x} != pinned {want:#x}"
+            );
+        }
+        assert_eq!(out.ops_executed, pin.ops, "{dispatch:?}: ops executed");
+        assert_eq!(
+            out.profile.len(),
+            pin.events,
+            "{dispatch:?}: profile events"
+        );
+    }
+}
+
+/// The instrumented runnable corpus (mini-NaiveBayes over 300
+/// instances) on every engine.
+#[test]
+fn corpus_profile_bits_are_pinned() {
+    let project = corpus::runnable_project();
+    let build = || jepo_jvm::Vm::from_project(&project).expect("corpus compiles");
+    assert_run_pinned(
+        build,
+        &RunPin {
+            package_j: 0x3f5a_903f_4f61_994f,
+            core_j: 0x3f55_c833_ea0d_7897,
+            uncore_j: 0x3f25_4032_a5e7_add9,
+            dram_j: 0,
+            seconds: 0x3f3a_8e1f_f42a_4b90,
+            device_package_j: 0x3f67_e75f_a2f4_e70c,
+            ops: 847_467,
+            events: 10_507,
+            event_hash: 0x3308_1746_372d_5dd8,
+        },
+    );
+}
+
+/// A probed program whose exceptions unwind through instrumented
+/// frames (the source of the jvm differential suite's
+/// `exceptions_typed_catches_finally_and_rethrow`): its exits are
+/// recorded as the unwind abandons a frame, not at a probe.
+#[test]
+fn unwinding_profile_bits_are_pinned() {
+    let src = "class M {
+        static int f(int n) {
+            try {
+                if (n == 0) { throw new RuntimeException(\"zero\"); }
+                if (n == 1) { throw new IllegalStateException(\"one\"); }
+                return n;
+            } catch (IllegalStateException e) {
+                return -1;
+            } finally {
+                System.out.println(\"fin \" + n);
+            }
+        }
+        public static void main(String[] a) {
+            for (int i = 0; i < 3; i++) {
+                try {
+                    System.out.println(f(i));
+                } catch (RuntimeException e) {
+                    System.out.println(\"caught \" + e.getMessage());
+                }
+            }
+            try {
+                try { throw new Exception(\"inner\"); }
+                catch (Exception e) { throw new RuntimeException(\"re: \" + e.getMessage()); }
+            } catch (Exception e) { System.out.println(e.getMessage()); }
+        }
+    }";
+    assert_run_pinned(
+        || jepo_jvm::Vm::from_source(src).expect("compiles"),
+        &RunPin {
+            package_j: 0x3eca_e165_87af_9172,
+            core_j: 0x3ec6_0abe_c64d_67e7,
+            uncore_j: 0x3e95_811e_0626_0df5,
+            dram_j: 0,
+            seconds: 0x3ea8_2776_e3f8_67a4,
+            device_package_j: 0x3ed7_1a15_856e_5895,
+            ops: 123,
+            events: 4,
+            event_hash: 0x7d33_e4cf_d7b8_b393,
+        },
+    );
+}
+
+/// `result.txt` as `jepo profile` writes it, in every mode and on every
+/// engine: (bytes, lines, FNV-1a).
+#[test]
+fn corpus_result_txt_is_pinned() {
+    let project = corpus::runnable_project();
+    let instrumented: (usize, usize, u64) = (661_925, 10_507, 0xbbb4_78f4_0622_3b40);
+    // Legacy and Decoded reach a sampling safepoint at every op, the IR
+    // tier at every block, so their samples fall at different points.
+    let sampled_per_op = (728, 7, 0x4235_e4a5_177a_029c);
+    let sampled_per_block = (526, 5, 0x4c2b_99f6_e7bb_6862);
+    for (dispatch, sampled) in [
+        (Dispatch::Legacy, sampled_per_op),
+        (Dispatch::Decoded, sampled_per_op),
+        (Dispatch::Ir, sampled_per_block),
+    ] {
+        for (mode, pin) in [
+            (ProfilingMode::Instrumented, instrumented),
+            (ProfilingMode::Both { interval_us: 10 }, instrumented),
+            (ProfilingMode::Sampling { interval_us: 10 }, sampled),
+        ] {
+            let report = JepoProfiler::new()
+                .with_dispatch(dispatch)
+                .with_mode(mode)
+                .profile(&project)
+                .expect("corpus profiles");
+            let txt = report.render_result_txt();
+            let got = (
+                txt.len(),
+                txt.lines().count(),
+                jepo_trace::fnv1a(jepo_trace::FNV_OFFSET, txt.bytes()),
+            );
+            assert_eq!(got, pin, "{mode:?} on {dispatch:?}: (bytes, lines, hash)");
+        }
+    }
 }

@@ -3,6 +3,7 @@
 use crate::opcode::Op;
 use jepo_jlang::Type;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Index of a class in a [`Program`].
 pub type ClassId = u32;
@@ -16,8 +17,9 @@ pub struct Method {
     pub class: ClassId,
     /// Simple name.
     pub name: String,
-    /// `Class.name` for diagnostics and profiler output.
-    pub qualified: String,
+    /// `Class.name` for diagnostics and profiler output, shared with
+    /// every profile event of the method.
+    pub qualified: Arc<str>,
     /// Parameter count (excluding receiver).
     pub arity: u8,
     /// Whether an instance method (receiver in local 0).

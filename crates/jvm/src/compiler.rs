@@ -203,7 +203,7 @@ fn compile_classes(decls: &[&ClassDecl]) -> Result<Program, VmError> {
             program.methods.push(Method {
                 class: i as ClassId,
                 name: m.name.clone(),
-                qualified: format!("{}.{}", d.name, m.name),
+                qualified: format!("{}.{}", d.name, m.name).into(),
                 arity,
                 is_instance: !m.modifiers.is_static || is_ctor,
                 locals: 0,
@@ -282,7 +282,7 @@ fn synthesize_static_inits(
         let method = Method {
             class: i as ClassId,
             name: "<clinit>".into(),
-            qualified: format!("{}.<clinit>", d.name),
+            qualified: format!("{}.<clinit>", d.name).into(),
             arity: 0,
             is_instance: false,
             locals: mc.next_slot,
@@ -455,7 +455,7 @@ impl<'a> MethodCompiler<'a> {
         Ok(Method {
             class: class_idx as ClassId,
             name: m.name.clone(),
-            qualified: format!("{}.{}", ctx.decls[class_idx].name, m.name),
+            qualified: format!("{}.{}", ctx.decls[class_idx].name, m.name).into(),
             arity: m.params.len() as u8,
             is_instance,
             locals: mc.max_slot.max(mc.next_slot),

@@ -157,13 +157,17 @@ mod tests {
             .run_method(p.main.unwrap(), vec![crate::Value::Null])
             .unwrap();
         let out = interp.finish(None);
-        let works: Vec<_> = out.profile.iter().filter(|e| e.name == "M.work").collect();
+        let works: Vec<_> = out
+            .profile
+            .iter()
+            .filter(|e| &*e.name == "M.work")
+            .collect();
         assert_eq!(works.len(), 3, "one event per execution");
         // The big execution dominates.
         assert!(works[1].package_j > works[0].package_j * 10.0);
         assert!(works[1].seconds > works[0].seconds);
         // main's inclusive energy covers its callees.
-        let main_ev = out.profile.iter().find(|e| e.name == "M.main").unwrap();
+        let main_ev = out.profile.iter().find(|e| &*e.name == "M.main").unwrap();
         assert!(main_ev.package_j >= works.iter().map(|w| w.package_j).sum::<f64>() * 0.99);
     }
 

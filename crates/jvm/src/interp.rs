@@ -55,8 +55,10 @@ pub struct RunOutcome {
 pub struct ProfileEvent {
     /// Method id.
     pub method: MethodId,
-    /// Qualified name.
-    pub name: String,
+    /// Qualified name, shared with the program's
+    /// [`crate::class::Method::qualified`], so a probe exit does not
+    /// allocate.
+    pub name: Arc<str>,
     /// Package joules attributed to this execution (inclusive of
     /// callees, like the paper's start/end MSR reads).
     pub package_j: f64,
@@ -289,14 +291,19 @@ impl<'p> Interp<'p> {
                 s += n as f64 * self.latency.nanos(c) * 1e-9;
             }
         }
-        let pkg = self.flushed_j + j;
-        let secs = self.flushed_s + s;
-        let core = pkg * self.sim.profile().core_dynamic_fraction;
-        (pkg, core, secs)
+        self.reading(self.flushed_j + j, self.flushed_s + s)
     }
 
-    /// Flush counts to the simulated device (dynamic energy + clock).
-    pub(crate) fn flush(&mut self) {
+    /// (package joules, core joules, seconds) for the given package and
+    /// time totals.
+    fn reading(&self, pkg: f64, secs: f64) -> (f64, f64, f64) {
+        (pkg, pkg * self.sim.profile().core_dynamic_fraction, secs)
+    }
+
+    /// Flush counts to the simulated device (dynamic energy + clock) and
+    /// return the accumulated (package joules, core joules, seconds),
+    /// which equal [`Interp::energy_now`] on the now-empty scoreboard.
+    pub(crate) fn flush(&mut self) -> (f64, f64, f64) {
         let mut j = 0.0;
         let mut s = 0.0;
         for (i, n) in self.board.drain().into_iter().enumerate() {
@@ -310,6 +317,7 @@ impl<'p> Interp<'p> {
         self.sim.advance_seconds(s);
         self.flushed_j += j;
         self.flushed_s += s;
+        self.reading(self.flushed_j, self.flushed_s)
     }
 
     /// Run all `<clinit>` initializers.
@@ -598,10 +606,7 @@ impl<'p> Interp<'p> {
                     self.push(Value::Bool(is));
                 }
                 Op::ProfileEnter(mid) => self.op_profile_enter(mid),
-                Op::ProfileExit(mid) => {
-                    self.flush();
-                    self.record_profile_exit(mid);
-                }
+                Op::ProfileExit(mid) => self.record_profile_exit(mid),
                 Op::Nop => {}
             }
         }
@@ -830,10 +835,7 @@ impl<'p> Interp<'p> {
                     self.push(Value::Bool(is));
                 }
                 DOp::ProfileEnter(pmid) => self.op_profile_enter(pmid),
-                DOp::ProfileExit(pmid) => {
-                    self.flush();
-                    self.record_profile_exit(pmid);
-                }
+                DOp::ProfileExit(pmid) => self.record_profile_exit(pmid),
                 DOp::Nop => {}
             }
         }
@@ -1356,8 +1358,7 @@ impl<'p> Interp<'p> {
     }
 
     pub(crate) fn op_profile_enter(&mut self, mid: MethodId) {
-        self.flush();
-        let (j, core, s) = self.energy_now();
+        let (j, core, s) = self.flush();
         self.profile_stack.push(ProfileEntry {
             method: mid,
             start_j: j,
@@ -1945,20 +1946,20 @@ impl<'p> Interp<'p> {
         if let (Some(frame), Some(top)) = (self.frames.last(), self.profile_stack.last()) {
             let frame_method = frame.method;
             if top.method == frame_method {
-                self.flush();
                 self.record_profile_exit(frame_method);
             }
         }
     }
 
+    /// Flush, then record the exit of `mid`'s innermost open execution.
     pub(crate) fn record_profile_exit(&mut self, mid: MethodId) {
-        let (j, core, s) = self.energy_now();
+        let (j, core, s) = self.flush();
         // Find the matching entry (top of stack in well-nested code).
         if let Some(pos) = self.profile_stack.iter().rposition(|e| e.method == mid) {
             let entry = self.profile_stack.remove(pos);
             self.profile_out.push(ProfileEvent {
                 method: mid,
-                name: self.method_name(mid).to_string(),
+                name: self.program.methods[mid as usize].qualified.clone(),
                 package_j: j - entry.start_j,
                 core_j: core - entry.start_core_j,
                 seconds: s - entry.start_s,

@@ -727,10 +727,7 @@ impl<'p> Interp<'p> {
                 }
             }
             IrOp::ProfileEnter(m) => self.op_profile_enter(*m),
-            IrOp::ProfileExit(m) => {
-                self.flush();
-                self.record_profile_exit(*m);
-            }
+            IrOp::ProfileExit(m) => self.record_profile_exit(*m),
             IrOp::Bridge { kind, args, dst } => {
                 // Route through the shared stack-machine op body: push
                 // the operands, run the single source of truth for the

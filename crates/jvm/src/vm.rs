@@ -251,7 +251,7 @@ impl Vm {
         let mut map: BTreeMap<&str, MethodEnergyRecord> = BTreeMap::new();
         for e in events {
             let rec = map.entry(&e.name).or_insert_with(|| MethodEnergyRecord {
-                name: e.name.clone(),
+                name: e.name.to_string(),
                 executions: 0,
                 total_package_j: 0.0,
                 total_core_j: 0.0,
@@ -277,7 +277,7 @@ impl Vm {
     /// against this VM's program.
     pub fn aggregate_samples(&self, set: &SampleSet) -> Vec<SampledMethodRecord> {
         sampling::aggregate_samples(set, |mid| {
-            self.program.methods[mid as usize].qualified.clone()
+            self.program.methods[mid as usize].qualified.to_string()
         })
     }
 

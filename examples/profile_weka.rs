@@ -17,7 +17,7 @@ fn main() {
     );
     print!("{}", report.view());
     println!("\nresult.txt (first 5 lines):");
-    for line in report.result_txt.lines().take(5) {
+    for line in report.render_result_txt().lines().take(5) {
         println!("  {line}");
     }
 
