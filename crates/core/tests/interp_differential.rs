@@ -4,8 +4,9 @@
 //! pre-decoded, register-IR), the masked telemetry trace must match,
 //! and the Table IV report text must be invariant across `--jobs` —
 //! the optimized engines are only allowed to be *faster*, never
-//! *different*. The `*_pinned` tests also hold every engine to fixed
-//! bits, so a change common to all three cannot move one either.
+//! *different*. The `*_pinned` tests also hold every engine, and the
+//! Table IV experiment, to fixed bits, so a change common to all three
+//! engines or to every job count cannot move one either.
 
 use jepo_core::corpus;
 use jepo_core::report;
@@ -154,6 +155,44 @@ fn small_table4_report_is_jobs_invariant() {
     assert_eq!(texts[0], texts[1], "jobs=1 vs jobs=2");
     assert_eq!(texts[0], texts[2], "jobs=1 vs jobs=4");
     assert!(texts[0].contains("Naive Bayes"), "report has rows");
+}
+
+/// The benchmark's Table IV (200 instances, 3 folds) held to fixed
+/// values under one and two workers: an FNV-1a hash over every row's
+/// [`row_bits`], and the length and FNV-1a hash of the report text. The
+/// test above compares runs with each other, so a change to a
+/// classifier's op charges, RNG draws or float operations passes it;
+/// this one fails.
+#[test]
+fn small_table4_is_pinned() {
+    let exp = WekaExperiment {
+        instances: 200,
+        folds: 3,
+        ..Default::default()
+    };
+    for jobs in [1usize, 2] {
+        let rows = exp.run_all_jobs(jobs);
+        let rows_hash = rows.iter().fold(jepo_trace::FNV_OFFSET, |h, r| {
+            let (name, changes, converged, bits) = row_bits(r);
+            let mut line = format!("{name} {changes} {converged}");
+            for b in bits {
+                line.push_str(&format!(" {b:x}"));
+            }
+            line.push('\n');
+            jepo_trace::fnv1a(h, line.bytes())
+        });
+        let text = report::table4(&rows);
+        let got = (
+            rows_hash,
+            text.len(),
+            jepo_trace::fnv1a(jepo_trace::FNV_OFFSET, text.bytes()),
+        );
+        assert_eq!(
+            got,
+            (0x8229_3d74_b3dd_41e3, 1_336, 0x10f9_dfaa_7060_9aac),
+            "jobs={jobs}: (row hash, report bytes, report hash)"
+        );
+    }
 }
 
 // ---- pins across commits -------------------------------------------------

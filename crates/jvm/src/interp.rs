@@ -516,7 +516,6 @@ impl<'p> Interp<'p> {
                 }
                 Op::Return => {
                     let v = self.pop()?;
-                    self.pop_frame_profile();
                     self.frames.pop();
                     if self.frames.len() == base_depth {
                         return Ok(Some(v));
@@ -524,7 +523,6 @@ impl<'p> Interp<'p> {
                     self.push(v);
                 }
                 Op::ReturnVoid => {
-                    self.pop_frame_profile();
                     self.frames.pop();
                     if self.frames.len() == base_depth {
                         return Ok(None);
@@ -715,7 +713,6 @@ impl<'p> Interp<'p> {
                 DOp::ExcMessage => self.op_exc_message()?,
                 DOp::Return => {
                     let v = self.pop()?;
-                    self.pop_frame_profile();
                     if let Some(f) = self.frames.pop() {
                         self.recycle_frame(f);
                     }
@@ -725,7 +722,6 @@ impl<'p> Interp<'p> {
                     self.push(v);
                 }
                 DOp::ReturnVoid => {
-                    self.pop_frame_profile();
                     if let Some(f) = self.frames.pop() {
                         self.recycle_frame(f);
                     }
@@ -1938,11 +1934,11 @@ impl<'p> Interp<'p> {
         }
     }
 
-    pub(crate) fn pop_frame_profile(&mut self) {
-        // Only pops the *matching* profile entry: the instrumentation
-        // pass emits ProfileExit before every return, so under normal
-        // control flow the stack is already popped; this handles
-        // exceptional unwinds.
+    /// Record the exit of the top frame as the unwinder abandons it. A
+    /// normal return never calls this: the instrumentation pass puts a
+    /// `ProfileExit` before every return, and a second exit there would
+    /// close the caller's entry too when the caller is the same method.
+    fn pop_frame_profile(&mut self) {
         if let (Some(frame), Some(top)) = (self.frames.last(), self.profile_stack.last()) {
             let frame_method = frame.method;
             if top.method == frame_method {

@@ -112,7 +112,6 @@ impl<'p> Interp<'p> {
                 }
                 Term::Ret(src) => {
                     let v = src.map(|s| rd(&self.frames[fi], s));
-                    self.pop_frame_profile();
                     if let Some(f) = self.frames.pop() {
                         self.recycle_frame(f);
                     }

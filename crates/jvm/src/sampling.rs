@@ -98,9 +98,10 @@ pub struct SampleSet {
 }
 
 impl SampleSet {
-    /// Sum of raw attributed package joules across retained samples.
+    /// Sum of raw attributed package joules across retained samples
+    /// (`0.0` with none: `Iterator::sum` would start from `-0.0`).
     pub fn raw_total_j(&self) -> f64 {
-        self.samples.iter().map(|s| s.package_j).sum()
+        self.samples.iter().fold(0.0, |t, s| t + s.package_j)
     }
 
     /// Raw total minus the profiler's own energy, clamped at zero.

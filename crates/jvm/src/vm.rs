@@ -415,6 +415,28 @@ mod tests {
         }
     }
 
+    /// A run shorter than one interval takes no sample; its raw total
+    /// is `+0.0`, so a report prints `0.000`, not `-0.000`.
+    #[test]
+    fn zero_sample_run_totals_positive_zero() {
+        let src = "class M { public static void main(String[] a) { int x = 1 + 2; } }";
+        for dispatch in [Dispatch::Ir, Dispatch::Decoded, Dispatch::Legacy] {
+            let mut vm = Vm::from_source(src)
+                .unwrap()
+                .with_dispatch(dispatch)
+                .with_sampling(SamplingConfig::from_interval_us(100));
+            let out = vm.run_main().unwrap();
+            let set = out.samples.as_ref().unwrap();
+            assert!(
+                set.samples.is_empty(),
+                "{dispatch:?}: {} samples",
+                set.taken
+            );
+            assert_eq!(set.raw_total_j().to_bits(), 0, "{dispatch:?}");
+            assert_eq!(format!("{:.3}", set.raw_total_j() * 1e3), "0.000");
+        }
+    }
+
     #[test]
     fn sampling_is_deterministic_across_runs() {
         for dispatch in [Dispatch::Ir, Dispatch::Decoded, Dispatch::Legacy] {

@@ -1,7 +1,7 @@
 //! VM integration tests: complete Java-subset programs with known
 //! outputs — the kind of code JEPO's users would profile.
 
-use jepo_jvm::{Vm, VmError};
+use jepo_jvm::{Dispatch, Vm, VmError};
 
 fn run(src: &str) -> String {
     let mut vm = Vm::from_source(src).unwrap_or_else(|e| panic!("{e}"));
@@ -269,4 +269,42 @@ fn instrumented_matmul_attributes_energy_to_hot_method() {
         mul.total_package_j,
         setup.total_package_j
     );
+}
+
+/// Each level of a recursion is one execution, closed by its own exit
+/// only: `f(3)` records four `Main.f` executions, each level's
+/// inclusive energy adding its own loop to the one below, and the
+/// outermost nearly all of `Main.main`'s.
+#[test]
+fn instrumented_recursion_records_every_level() {
+    let src = "class Main {
+        static int f(int n) {
+            int s = 0;
+            if (n > 0) { s = f(n - 1); }
+            for (int i = 0; i < 2000; i++) { s += i % 7; }
+            return s;
+        }
+        public static void main(String[] args) {
+            System.out.println(f(3));
+        }
+    }";
+    for dispatch in [Dispatch::Legacy, Dispatch::Decoded, Dispatch::Ir] {
+        let mut vm = Vm::from_source(src).unwrap().with_dispatch(dispatch);
+        vm.instrument();
+        let out = vm.run_main().unwrap();
+        let records = Vm::aggregate_profile(&out.profile);
+        let f = records.iter().find(|r| r.name == "Main.f").unwrap();
+        let main = records.iter().find(|r| r.name == "Main.main").unwrap();
+        let levels: Vec<f64> = f.per_execution.iter().map(|&(j, _)| j).collect();
+        assert_eq!(levels.len(), 4, "{dispatch:?}: one execution per level");
+        assert!(
+            levels[0] > 0.0 && levels.windows(2).all(|w| w[1] - w[0] > levels[0] / 2.0),
+            "{dispatch:?}: each level must add its own loop: {levels:?}"
+        );
+        let (outer, whole) = (levels[3], main.total_package_j);
+        assert!(
+            outer <= whole && outer > whole * 0.95,
+            "{dispatch:?}: outermost f {outer} vs main {whole}"
+        );
+    }
 }

@@ -3,15 +3,17 @@
 use super::attribute::{Attribute, AttributeKind};
 use crate::MlError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A dataset: schema + dense instance rows. Nominal values are stored as
-/// label indices; missing values as `NaN`.
+/// label indices; missing values as `NaN`. Subsets share their parent's
+/// schema, so a tree split copies rows, never the label strings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
     /// Relation name, as WEKA calls a dataset.
     pub relation: String,
     /// Attribute schema, class attribute included.
-    pub attributes: Vec<Attribute>,
+    pub attributes: Arc<[Attribute]>,
     /// Index of the class attribute.
     pub class_index: usize,
     /// Row-major instance values.
@@ -24,7 +26,7 @@ impl Dataset {
         let class_index = attributes.len().saturating_sub(1);
         Dataset {
             relation: relation.to_string(),
-            attributes,
+            attributes: attributes.into(),
             class_index,
             instances: Vec::new(),
         }
@@ -98,7 +100,7 @@ impl Dataset {
             .unwrap_or(0.0)
     }
 
-    /// Sub-dataset from row indices (copies rows).
+    /// Sub-dataset from row indices (copies rows, shares the schema).
     pub fn subset(&self, idxs: &[usize]) -> Dataset {
         Dataset {
             relation: self.relation.clone(),
